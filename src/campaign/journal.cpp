@@ -1,5 +1,7 @@
 #include "campaign/journal.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,29 +26,39 @@ const char* find_value(const std::string& line, const char* key) {
   return line.c_str() + pos + needle.size();
 }
 
+// A value must run exactly to its field's end: trailing junk ("12x") or an
+// out-of-range number fails the line like a missing key.
+bool ends_field(const char* end) { return *end == ',' || *end == '}'; }
+
 bool get_u64(const std::string& line, const char* key, std::uint64_t& out) {
   const char* v = find_value(line, key);
   if (v == nullptr || !(*v >= '0' && *v <= '9')) return false;
-  out = std::strtoull(v, nullptr, 10);
-  return true;
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(v, &end, 10);
+  return errno != ERANGE && ends_field(end);
 }
 
 bool get_real(const std::string& line, const char* key, double& out) {
   const char* v = find_value(line, key);
   if (v == nullptr) return false;
   char* end = nullptr;
+  errno = 0;
   out = std::strtod(v, &end);
-  return end != v;
+  // ERANGE also flags a subnormal result, which %.17g can legitimately
+  // print; only an overflow to +-HUGE_VAL is out of range.
+  const bool overflow = errno == ERANGE && std::fabs(out) == HUGE_VAL;
+  return end != v && !overflow && ends_field(end);
 }
 
 bool get_bool(const std::string& line, const char* key, bool& out) {
   const char* v = find_value(line, key);
   if (v == nullptr) return false;
-  if (std::strncmp(v, "true", 4) == 0) {
+  if (std::strncmp(v, "true", 4) == 0 && ends_field(v + 4)) {
     out = true;
     return true;
   }
-  if (std::strncmp(v, "false", 5) == 0) {
+  if (std::strncmp(v, "false", 5) == 0 && ends_field(v + 5)) {
     out = false;
     return true;
   }
@@ -85,30 +97,11 @@ bool parse_results(const std::string& line, SimResults& r) {
   ok = ok &&
        get_real(line, "rtx_buffer_utilization", r.rtx_buffer_utilization);
   ok = ok && get_u64(line, "link_errors_corrected", r.link_errors_corrected);
-  ok = ok && get_u64(line, "link_single_corrected", r.link_single_corrected);
-  ok = ok && get_u64(line, "link_retransmission_events",
-                     r.link_retransmission_events);
-  ok = ok &&
-       get_u64(line, "link_flits_retransmitted", r.link_flits_retransmitted);
-  ok = ok && get_u64(line, "flits_dropped", r.flits_dropped);
-  ok = ok && get_u64(line, "nacks_sent", r.nacks_sent);
-  ok = ok && get_u64(line, "rt_errors_recovered", r.rt_errors_recovered);
-  ok = ok && get_u64(line, "va_errors_recovered", r.va_errors_recovered);
-  ok = ok && get_u64(line, "sa_errors_recovered", r.sa_errors_recovered);
-  ok = ok && get_u64(line, "unprotected_errors", r.unprotected_errors);
-  ok = ok && get_u64(line, "corrupted_delivered", r.corrupted_delivered);
-  ok = ok && get_u64(line, "e2e_retransmits", r.e2e_retransmits);
-  ok = ok && get_u64(line, "rtx_errors_corrected", r.rtx_errors_corrected);
-  ok = ok && get_u64(line, "handshake_errors_corrected",
-                     r.handshake_errors_corrected);
-  ok = ok && get_u64(line, "hard_fault_reroutes", r.hard_fault_reroutes);
-  ok = ok && get_u64(line, "probes_sent", r.probes_sent);
-  ok = ok && get_u64(line, "probes_discarded", r.probes_discarded);
-  ok = ok && get_u64(line, "deadlocks_confirmed", r.deadlocks_confirmed);
-  ok = ok && get_u64(line, "recoveries_entered", r.recoveries_entered);
-  ok = ok && get_u64(line, "recoveries_exited", r.recoveries_exited);
-  ok = ok && get_u64(line, "fallback_recoveries", r.fallback_recoveries);
-  ok = ok && get_u64(line, "flits_absorbed", r.flits_absorbed);
+  for (const EventCounter& c : kEventCounters) {
+    if (c.gate == CounterGate::kAlways) {
+      ok = ok && get_u64(line, c.name, r.*c.field);
+    }
+  }
   return ok;
 }
 

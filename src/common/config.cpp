@@ -42,6 +42,29 @@ const char* to_string(BufferPolicyKind b) {
   return "?";
 }
 
+// The one name <-> plant table, for overrides, repro files and --plant.
+constexpr std::pair<TestMutation, const char*> kTestMutationNames[] = {
+    {TestMutation::kNone, "none"},
+    {TestMutation::kDropWindow, "drop_window"},
+    {TestMutation::kDamqCreditLeak, "damq_credit_leak"},
+    {TestMutation::kRouteIntoDeadLink, "route_into_dead_link"},
+    {TestMutation::kStrandWaiter, "strand_waiter"},
+};
+
+const char* to_string(TestMutation m) {
+  for (const auto& [mut, name] : kTestMutationNames) {
+    if (mut == m) return name;
+  }
+  return "?";
+}
+
+std::optional<TestMutation> parse_test_mutation(std::string_view name) {
+  for (const auto& [mut, n] : kTestMutationNames) {
+    if (name == n) return mut;
+  }
+  return std::nullopt;
+}
+
 namespace {
 
 // Mirrors Topology::neighbor (noc/topology.cpp) without depending on the
@@ -246,6 +269,24 @@ bool parse_u64(const std::string& v, std::uint64_t& out) {
   return ec == std::errc() && p == v.data() + v.size();
 }
 
+/// A node id in NodeId's range; larger values are rejected, not wrapped.
+bool parse_node(const std::string& v, NodeId& out) {
+  auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  return ec == std::errc() && p == v.data() + v.size();
+}
+
+/// One link direction letter, N/E/S/W in either case.
+bool parse_dir(const std::string& v, Direction& out) {
+  if (v.size() != 1) return false;
+  switch (v[0]) {
+    case 'N': case 'n': out = Direction::kNorth; return true;
+    case 'E': case 'e': out = Direction::kEast; return true;
+    case 'S': case 's': out = Direction::kSouth; return true;
+    case 'W': case 'w': out = Direction::kWest; return true;
+    default: return false;
+  }
+}
+
 bool parse_double(const std::string& v, double& out) {
   char* end = nullptr;
   out = std::strtod(v.c_str(), &end);
@@ -381,22 +422,18 @@ std::optional<std::string> apply_override(SimConfig& cfg,
   } else if (key == "dead_link") {
     // "node:dir" with dir in {N,E,S,W}.
     const auto colon = val.find(':');
-    if (colon == std::string::npos || colon + 2 != val.size()) return bad();
-    int node = 0;
-    if (!parse_int(val.substr(0, colon), node) || node < 0) return bad();
+    NodeId node = 0;
     Direction d;
-    switch (val[colon + 1]) {
-      case 'N': case 'n': d = Direction::kNorth; break;
-      case 'E': case 'e': d = Direction::kEast; break;
-      case 'S': case 's': d = Direction::kSouth; break;
-      case 'W': case 'w': d = Direction::kWest; break;
-      default: return bad();
+    if (colon == std::string::npos ||
+        !parse_node(val.substr(0, colon), node) ||
+        !parse_dir(val.substr(colon + 1), d)) {
+      return bad();
     }
-    cfg.dead_links.emplace_back(static_cast<NodeId>(node), d);
+    cfg.dead_links.emplace_back(node, d);
   } else if (key == "dead_router") {
-    int node = 0;
-    if (!parse_int(val, node) || node < 0) return bad();
-    cfg.dead_routers.push_back(static_cast<NodeId>(node));
+    NodeId node = 0;
+    if (!parse_node(val, node)) return bad();
+    cfg.dead_routers.push_back(node);
   } else if (key == "link_escalation_threshold") {
     if (!parse_int(val, cfg.faults.link_escalation_threshold)) return bad();
   } else if (key == "storm_kill") {
@@ -404,20 +441,11 @@ std::optional<std::string> apply_override(SimConfig& cfg,
     const auto c1 = val.find(':');
     const auto c2 = c1 == std::string::npos ? std::string::npos
                                             : val.find(':', c1 + 1);
-    if (c2 == std::string::npos || c2 + 2 != val.size()) return bad();
     SimConfig::LinkKill k;
-    if (!parse_u64(val.substr(0, c1), k.at)) return bad();
-    int node = 0;
-    if (!parse_int(val.substr(c1 + 1, c2 - c1 - 1), node) || node < 0) {
+    if (c2 == std::string::npos || !parse_u64(val.substr(0, c1), k.at) ||
+        !parse_node(val.substr(c1 + 1, c2 - c1 - 1), k.node) ||
+        !parse_dir(val.substr(c2 + 1), k.dir)) {
       return bad();
-    }
-    k.node = static_cast<NodeId>(node);
-    switch (val[c2 + 1]) {
-      case 'N': case 'n': k.dir = Direction::kNorth; break;
-      case 'E': case 'e': k.dir = Direction::kEast; break;
-      case 'S': case 's': k.dir = Direction::kSouth; break;
-      case 'W': case 'w': k.dir = Direction::kWest; break;
-      default: return bad();
     }
     cfg.storm_kills.push_back(k);
   } else if (key == "workload") {
@@ -434,7 +462,9 @@ std::optional<std::string> apply_override(SimConfig& cfg,
   } else if (key == "reference_router") {
     if (!parse_bool(val, cfg.use_reference_router)) return bad();
   } else if (key == "test_mutation") {
-    cfg.test_mutation = val;
+    const auto m = parse_test_mutation(val);
+    if (!m) return bad();
+    cfg.test_mutation = *m;
   } else if (key == "kernel") {
     if (val == "scan") {
       cfg.force_scan_kernel = true;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -61,10 +62,34 @@ enum class BufferPolicyKind : std::uint8_t {
   kVoq,
 };
 
+/// A deliberately planted bug for the differential fuzz harness's
+/// self-test (tools/ftnoc_fuzz.cpp), applied to the optimized router only.
+/// Each one proves the harness detects a class of divergence end to end.
+enum class TestMutation : std::uint8_t {
+  kNone,
+  /// "drop_window": reverts the 4-stage HBH drop window to the pre-fix
+  /// now+2, so a stale third follower is accepted out of order.
+  kDropWindow,
+  /// "damq_credit_leak": skips the per-VC shared-held decrement on a DAMQ
+  /// credit return, inflating the sender's shared-pool accounting.
+  kDamqCreditLeak,
+  /// "route_into_dead_link": routes with the fault-blind closed form,
+  /// steering headers at failed ports (only observable on faulted
+  /// topologies).
+  kRouteIntoDeadLink,
+  /// "strand_waiter": a dead-port drain leaves registered deadlock waiters
+  /// on the draining port instead of re-homing them, wedging the drain.
+  kStrandWaiter,
+};
+
 const char* to_string(RoutingAlgorithm a);
 const char* to_string(LinkProtection p);
 const char* to_string(TrafficPattern t);
 const char* to_string(BufferPolicyKind b);
+const char* to_string(TestMutation m);
+/// Parses a plant name ("none" or one of the names above); nullopt if the
+/// name is unknown.
+std::optional<TestMutation> parse_test_mutation(std::string_view name);
 
 /// Fault process rates. All are per-opportunity Bernoulli probabilities.
 struct FaultConfig {
@@ -228,13 +253,10 @@ struct SimConfig {
   /// simple, allocation-happy model) instead of the optimized Router. Used
   /// by the differential fuzz harness; behaviour must be bit-identical.
   bool use_reference_router = false;
-  /// Name of a deliberately planted bug, applied to the *optimized* router
-  /// only ("" = none). The fuzz harness plants one to prove it can detect
-  /// divergences end to end. Known names: "drop_window" (reverts the
-  /// 4-stage HBH drop window to the pre-fix now+2); "route_into_dead_link"
-  /// (routes with the fault-blind closed form, steering headers at failed
-  /// ports — only observable on faulted topologies).
-  std::string test_mutation;
+  /// Planted bug applied to the *optimized* router only (override
+  /// "test_mutation=NAME" with NAME "none", "drop_window",
+  /// "damq_credit_leak", "route_into_dead_link" or "strand_waiter").
+  TestMutation test_mutation = TestMutation::kNone;
   /// Force the per-cycle full router scan instead of the event-queue
   /// kernel (DESIGN.md §4.10). The two are byte-identical by contract;
   /// the override exists for determinism tests and A/B perf comparison.

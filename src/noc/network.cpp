@@ -146,7 +146,6 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
       }
     }
     wire_->flit.write(f);
-    if (stats_) stats_->on_flit_injected();
     if (lane.flits.empty()) lane.busy = false;
     send_rotation_ = (v + 1) % nv;
     return true;

@@ -172,7 +172,7 @@ void Router::begin_link_drain(PortId p, Cycle now) {
   // kVaWait case above. A waiter with absorbed flits is a committed
   // stream; it keeps the port until replayed, like an in-flight wormhole.
   // (The strand_waiter mutation reverts this fix for the fuzz self-test.)
-  if (cfg_.test_mutation != "strand_waiter") {
+  if (cfg_.test_mutation != TestMutation::kStrandWaiter) {
     for (int v = 0; v < num_vcs_; ++v) {
       const int og = gid(p, static_cast<VcId>(v));
       auto& out = outputs_[static_cast<std::size_t>(og)];
@@ -393,7 +393,7 @@ void Router::phase_maintenance(Cycle now) {
           // not released, inflating the sender's shared accounting. The
           // digest comparison and the shared-pool conservation walk catch
           // it the same cycle.
-          if (cfg_.test_mutation != "damq_credit_leak") --held;
+          if (cfg_.test_mutation != TestMutation::kDamqCreditLeak) --held;
           ++shared_credits_[p];
         } else {
           ++out.credits;
@@ -549,7 +549,8 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
           // planted mutation reverts that fix (fuzz-harness self-test): a
           // stale third follower is then accepted out of order.
           const bool long_window =
-              cfg_.pipeline_stages == 4 && cfg_.test_mutation != "drop_window";
+              cfg_.pipeline_stages == 4 &&
+              cfg_.test_mutation != TestMutation::kDropWindow;
           drop_until_[gid(p, f.vc)] = now + (long_window ? 3 : 2);
           FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
           return;
@@ -1260,7 +1261,7 @@ void Router::phase_rt(Cycle now) {
     const NodeId dest = vc.buf.front().dest;
     PortMask correct = route(topo_, cfg_.routing, id_, dest);
     if (topo_.has_faults()) {
-      if (cfg_.test_mutation == "route_into_dead_link") {
+      if (cfg_.test_mutation == TestMutation::kRouteIntoDeadLink) {
         // Planted mutation (fuzz-harness self-test): route by the closed
         // form, as a router whose RT link-state input is stuck-at-good
         // would — it aims wormholes straight into dead links.

@@ -11,6 +11,91 @@
 
 namespace ftnoc {
 
+/// When a counter counts: inside the measurement window only, or over the
+/// whole run (delivery accounting, like packets_created).
+enum class CounterWindow : std::uint8_t { kMeasured, kWholeRun };
+
+/// Which configs carry a counter's JSONL column. kAlways columns are part
+/// of every result record (and of campaign replica lines); the others are
+/// appended after them only when the config can produce the event, so
+/// configs without it keep their exact pre-existing key set.
+enum class CounterGate : std::uint8_t {
+  kAlways,
+  kPermanentFaults,  ///< SimConfig::has_permanent_faults().
+  kStorm,            ///< A non-empty storm_kills schedule.
+  kWorkload,         ///< SimConfig::has_workload().
+};
+
+// The event counters, one row each, in JSONL column order:
+//   X(name, on_* event, window, JSONL gate)
+// A row generates the collector's field, its `on_*` bump and accessor, the
+// SimResults field, its JSONL column and its campaign-journal round trip
+// (see kEventCounters). Adding a counter is adding a row.
+#define FTNOC_EVENT_COUNTERS(X)                                              \
+  /* HBH link protection: SEC in place, multi-bit retransmissions. */        \
+  X(link_single_corrected, on_link_single_corrected, kMeasured, kAlways)     \
+  X(link_retransmission_events, on_link_retransmission_event, kMeasured,     \
+    kAlways)                                                                 \
+  X(link_flits_retransmitted, on_flits_retransmitted, kMeasured, kAlways)    \
+  /* Detected-uncorrectable flits dropped at a receiver (the NACK drop      \
+     window plus drops that were never replayed). */                         \
+  X(flits_dropped, on_flit_dropped, kMeasured, kAlways)                      \
+  X(nacks_sent, on_nack_sent, kMeasured, kAlways)                            \
+  /* Allocation Comparator recoveries and unprotected logic upsets. */       \
+  X(rt_errors_recovered, on_rt_error_recovered, kMeasured, kAlways)          \
+  X(va_errors_recovered, on_va_error_recovered, kMeasured, kAlways)          \
+  X(sa_errors_recovered, on_sa_error_recovered, kMeasured, kAlways)          \
+  X(unprotected_errors, on_unprotected_error, kMeasured, kAlways)            \
+  X(corrupted_delivered, on_corrupted_delivery, kMeasured, kAlways)          \
+  X(e2e_retransmits, on_e2e_retransmit, kMeasured, kAlways)                  \
+  X(rtx_errors_corrected, on_rtx_error_corrected, kMeasured, kAlways)        \
+  X(handshake_errors_corrected, on_handshake_error_corrected, kMeasured,     \
+    kAlways)                                                                 \
+  /* A packet detoured non-minimally around a hard-failed link. */           \
+  X(hard_fault_reroutes, on_hard_fault_reroute, kMeasured, kAlways)          \
+  /* Deadlock detection and recovery. */                                     \
+  X(probes_sent, on_probe_sent, kMeasured, kAlways)                          \
+  X(probes_discarded, on_probe_discarded, kMeasured, kAlways)                \
+  X(deadlocks_confirmed, on_deadlock_confirmed, kMeasured, kAlways)          \
+  X(recoveries_entered, on_recovery_entered, kMeasured, kAlways)             \
+  X(recoveries_exited, on_recovery_exited, kMeasured, kAlways)               \
+  X(fallback_recoveries, on_fallback_recovery, kMeasured, kAlways)           \
+  X(flits_absorbed, on_flit_absorbed, kMeasured, kAlways)                    \
+  /* A waiting packet whose chosen next hop died was sent back to RT. */     \
+  X(packets_rerouted, on_packet_rerouted, kWholeRun, kPermanentFaults)       \
+  /* A packet was dropped because no live path to its destination exists. */ \
+  X(unreachable_drops, on_unreachable_drop, kWholeRun, kPermanentFaults)     \
+  /* A flaky link crossed the escalation threshold and was declared dead. */ \
+  X(links_escalated, on_link_escalated, kWholeRun, kPermanentFaults)         \
+  /* A fault-storm kill fired (accepted past the partition veto). */         \
+  X(links_storm_killed, on_storm_link_killed, kWholeRun, kStorm)             \
+  /* A trace/workload record whose source router is hard-dead was dropped   \
+     at release (never created, so not counted in packets_created). */       \
+  X(dead_source_drops, on_dead_source_drop, kWholeRun, kWorkload)
+
+/// One value per counter row; the collector's storage and the counter half
+/// of SimResults.
+struct EventCounts {
+#define FTNOC_X(name, event, window, gate) std::uint64_t name = 0;
+  FTNOC_EVENT_COUNTERS(FTNOC_X)
+#undef FTNOC_X
+};
+
+/// A counter row as data, for the code that walks every counter.
+struct EventCounter {
+  const char* name;
+  std::uint64_t EventCounts::*field;
+  CounterWindow window;
+  CounterGate gate;
+};
+
+inline constexpr EventCounter kEventCounters[] = {
+#define FTNOC_X(name, event, window, gate) \
+  {#name, &EventCounts::name, CounterWindow::window, CounterGate::gate},
+    FTNOC_EVENT_COUNTERS(FTNOC_X)
+#undef FTNOC_X
+};
+
 class StatsCollector {
  public:
   StatsCollector()
@@ -25,7 +110,6 @@ class StatsCollector {
 
   // --- Traffic lifecycle -------------------------------------------------
   void on_packet_created() { ++packets_created_; }
-  void on_flit_injected() { ++flits_injected_; }
   /// `birth` = packet generation time (includes source queueing);
   /// `inject` = first header injection into the network (the paper's
   /// message-latency reference point; 0 if unknown).
@@ -38,56 +122,26 @@ class StatsCollector {
     latency_.add(lat);
     latency_hist_.add(lat);
     total_latency_.add(static_cast<double>(now - birth));
-    if (corrupted) ++corrupted_delivered_;
+    if (corrupted) on_corrupted_delivery();
   }
 
-  // --- Fault-tolerance events ---------------------------------------------
-  // Counted only inside the measurement window (callers don't need to
-  // check; the collector gates on measuring_).
-  void on_link_single_corrected() { bump(link_single_corrected_); }
+  // --- Event counters ------------------------------------------------------
+  // One bump per row; kMeasured rows count only inside the measurement
+  // window (callers don't need to check).
+#define FTNOC_X(name, event, window, gate)                       \
+  void event(std::uint64_t n = 1) {                              \
+    if (CounterWindow::window == CounterWindow::kWholeRun ||     \
+        measuring_) {                                            \
+      counts_.name += n;                                         \
+    }                                                            \
+  }
+  FTNOC_EVENT_COUNTERS(FTNOC_X)
+#undef FTNOC_X
+
   void on_link_retransmission(std::uint64_t flits) {
-    if (measuring_) {
-      ++link_retransmission_events_;
-      link_flits_retransmitted_ += flits;
-    }
+    on_link_retransmission_event();
+    on_flits_retransmitted(flits);
   }
-  void on_nack_sent() { bump(nacks_sent_); }
-  void on_flit_dropped() { bump(flits_dropped_); }
-  void on_rt_error_recovered() { bump(rt_errors_recovered_); }
-  void on_va_error_recovered() { bump(va_errors_recovered_); }
-  void on_sa_error_recovered() { bump(sa_errors_recovered_); }
-  void on_unprotected_error() { bump(unprotected_errors_); }
-  void on_e2e_retransmit() { bump(e2e_retransmits_); }
-  void on_rtx_error_corrected() { bump(rtx_errors_corrected_); }
-  void on_handshake_error_corrected() { bump(handshake_errors_corrected_); }
-  /// A packet detoured non-minimally around a hard-failed link.
-  void on_hard_fault_reroute() { bump(hard_fault_reroutes_); }
-
-  // --- Permanent-fault accounting ------------------------------------------
-  // Delivery accounting like packets_created_/messages_ejected_: counted
-  // over the whole run, not gated on the measurement window.
-  /// A waiting packet whose chosen next hop died was sent back to routing.
-  void on_packet_rerouted() { ++packets_rerouted_; }
-  /// A packet was dropped because no live path to its destination exists.
-  void on_unreachable_drop() { ++unreachable_drops_; }
-  /// A flaky link crossed the escalation threshold and was declared dead.
-  void on_link_escalated() { ++links_escalated_; }
-  /// A configured fault-storm kill fired (accepted past the partition
-  /// veto) — counted separately from organic escalations.
-  void on_storm_link_killed() { ++links_storm_killed_; }
-  /// A trace/workload record whose source router is hard-dead was dropped
-  /// at release time (it was never created, so it does not count against
-  /// packets_created_).
-  void on_dead_source_drop() { ++dead_source_drops_; }
-
-  // --- Deadlock events -----------------------------------------------------
-  void on_probe_sent() { bump(probes_sent_); }
-  void on_probe_discarded() { bump(probes_discarded_); }
-  void on_deadlock_confirmed() { bump(deadlocks_confirmed_); }
-  void on_recovery_entered() { bump(recoveries_entered_); }
-  void on_recovery_exited() { bump(recoveries_exited_); }
-  void on_fallback_recovery() { bump(fallback_recoveries_); }
-  void on_flit_absorbed() { bump(flits_absorbed_); }
 
   // --- Per-cycle sampling --------------------------------------------------
   /// `tx_frac` / `rtx_frac`: network-wide occupied-slot fractions this cycle.
@@ -99,7 +153,6 @@ class StatsCollector {
 
   // --- Accessors ------------------------------------------------------------
   std::uint64_t packets_created() const { return packets_created_; }
-  std::uint64_t flits_injected() const { return flits_injected_; }
   std::uint64_t messages_ejected() const { return messages_ejected_; }
   std::uint64_t measured_messages() const { return measured_messages_; }
   const RunningStat& latency() const { return latency_; }
@@ -109,56 +162,23 @@ class StatsCollector {
   const RunningStat& tx_buffer_utilization() const { return tx_util_; }
   const RunningStat& rtx_buffer_utilization() const { return rtx_util_; }
 
-  std::uint64_t link_single_corrected() const { return link_single_corrected_; }
-  std::uint64_t link_retransmission_events() const {
-    return link_retransmission_events_;
-  }
-  std::uint64_t link_flits_retransmitted() const {
-    return link_flits_retransmitted_;
-  }
-  std::uint64_t nacks_sent() const { return nacks_sent_; }
-  std::uint64_t flits_dropped() const { return flits_dropped_; }
-  std::uint64_t rt_errors_recovered() const { return rt_errors_recovered_; }
-  std::uint64_t va_errors_recovered() const { return va_errors_recovered_; }
-  std::uint64_t sa_errors_recovered() const { return sa_errors_recovered_; }
-  std::uint64_t unprotected_errors() const { return unprotected_errors_; }
-  std::uint64_t corrupted_delivered() const { return corrupted_delivered_; }
-  std::uint64_t e2e_retransmits() const { return e2e_retransmits_; }
-  std::uint64_t rtx_errors_corrected() const { return rtx_errors_corrected_; }
-  std::uint64_t handshake_errors_corrected() const {
-    return handshake_errors_corrected_;
-  }
-  std::uint64_t hard_fault_reroutes() const { return hard_fault_reroutes_; }
-  std::uint64_t packets_rerouted() const { return packets_rerouted_; }
-  std::uint64_t unreachable_drops() const { return unreachable_drops_; }
-  std::uint64_t links_escalated() const { return links_escalated_; }
-  std::uint64_t links_storm_killed() const { return links_storm_killed_; }
-  std::uint64_t dead_source_drops() const { return dead_source_drops_; }
-
-  std::uint64_t probes_sent() const { return probes_sent_; }
-  std::uint64_t probes_discarded() const { return probes_discarded_; }
-  std::uint64_t deadlocks_confirmed() const { return deadlocks_confirmed_; }
-  std::uint64_t recoveries_entered() const { return recoveries_entered_; }
-  std::uint64_t recoveries_exited() const { return recoveries_exited_; }
-  std::uint64_t fallback_recoveries() const { return fallback_recoveries_; }
-  std::uint64_t flits_absorbed() const { return flits_absorbed_; }
+  const EventCounts& counts() const { return counts_; }
+#define FTNOC_X(name, event, window, gate) \
+  std::uint64_t name() const { return counts_.name; }
+  FTNOC_EVENT_COUNTERS(FTNOC_X)
+#undef FTNOC_X
 
   /// Total corrected link errors: SEC singles + retransmitted multi-bit
   /// flit errors (what Figure 13(a)'s LINK-HBH series counts).
   std::uint64_t link_errors_corrected() const {
-    return link_single_corrected_ + link_retransmission_events_;
+    return counts_.link_single_corrected + counts_.link_retransmission_events;
   }
 
  private:
-  void bump(std::uint64_t& c) {
-    if (measuring_) ++c;
-  }
-
   bool measuring_ = false;
   Cycle measure_start_ = 0;
 
   std::uint64_t packets_created_ = 0;
-  std::uint64_t flits_injected_ = 0;
   std::uint64_t messages_ejected_ = 0;
   std::uint64_t measured_messages_ = 0;
   RunningStat latency_;
@@ -167,33 +187,7 @@ class StatsCollector {
   RunningStat tx_util_;
   RunningStat rtx_util_;
 
-  std::uint64_t link_single_corrected_ = 0;
-  std::uint64_t link_retransmission_events_ = 0;
-  std::uint64_t link_flits_retransmitted_ = 0;
-  std::uint64_t nacks_sent_ = 0;
-  std::uint64_t flits_dropped_ = 0;
-  std::uint64_t rt_errors_recovered_ = 0;
-  std::uint64_t va_errors_recovered_ = 0;
-  std::uint64_t sa_errors_recovered_ = 0;
-  std::uint64_t unprotected_errors_ = 0;
-  std::uint64_t corrupted_delivered_ = 0;
-  std::uint64_t e2e_retransmits_ = 0;
-  std::uint64_t rtx_errors_corrected_ = 0;
-  std::uint64_t handshake_errors_corrected_ = 0;
-  std::uint64_t hard_fault_reroutes_ = 0;
-  std::uint64_t packets_rerouted_ = 0;
-  std::uint64_t unreachable_drops_ = 0;
-  std::uint64_t links_escalated_ = 0;
-  std::uint64_t links_storm_killed_ = 0;
-  std::uint64_t dead_source_drops_ = 0;
-
-  std::uint64_t probes_sent_ = 0;
-  std::uint64_t probes_discarded_ = 0;
-  std::uint64_t deadlocks_confirmed_ = 0;
-  std::uint64_t recoveries_entered_ = 0;
-  std::uint64_t recoveries_exited_ = 0;
-  std::uint64_t fallback_recoveries_ = 0;
-  std::uint64_t flits_absorbed_ = 0;
+  EventCounts counts_;
 };
 
 }  // namespace ftnoc

@@ -15,6 +15,8 @@
 #include "campaign/estimators.hpp"
 #include "campaign/journal.hpp"
 #include "common/stats_util.hpp"
+#include "noc/stats.hpp"
+#include "sweep/jsonl.hpp"
 #include "sweep/sweep.hpp"
 
 namespace ftnoc {
@@ -367,6 +369,148 @@ TEST(CampaignJournal, ReplicaLineRoundTripsResults) {
   EXPECT_EQ(replayed.fresh, 0);
   EXPECT_EQ(replayed.aggs, run.aggs);
   EXPECT_EQ(replayed.lines, run.lines);
+  std::remove(path.c_str());
+}
+
+/// Results with every counter-table row and every hand-written field set
+/// to a distinct non-zero value, so two swapped columns cannot pass.
+SimResults distinct_results() {
+  SimResults r;
+  std::uint64_t v = 1000;
+  for (const EventCounter& c : kEventCounters) r.*c.field = ++v;
+  r.completed = true;
+  r.cycles = ++v;
+  r.measured_messages = ++v;
+  r.packets_created = ++v;
+  r.messages_ejected = ++v;
+  r.link_errors_corrected = ++v;
+  r.avg_latency_cycles = 12.25;
+  r.avg_total_latency_cycles = 13.5;
+  r.p50_latency_cycles = 11.0;
+  r.p99_latency_cycles = 40.0;
+  r.max_latency_cycles = 99.0;
+  r.throughput_flits_node_cycle = 0.1;
+  r.energy_per_message_nj = 1.0 / 3.0;
+  r.total_energy_uj = 2.0 / 7.0;
+  r.tx_buffer_utilization = 0.2;
+  r.rtx_buffer_utilization = 0.3;
+  return r;
+}
+
+TEST(CounterTable, JournalRoundTripsEveryJournaledCounter) {
+  const SimResults r = distinct_results();
+  const std::string line = campaign::replica_line(5, 0, 0, 42, 9, r);
+  const std::string path = ::testing::TempDir() + "counter_table.jsonl";
+  write_lines(path, {line}, 1);
+  const auto journal = campaign::Journal::load(path, 5, {42});
+  std::remove(path.c_str());
+  ASSERT_EQ(journal.valid_lines(), 1u);
+  const SimResults* back = journal.find(0, 0);
+  ASSERT_NE(back, nullptr);
+
+  // kAlways rows are replica-line columns and come back unchanged; gated
+  // rows are never journaled (their configs' lines keep the plain key
+  // set), so they come back as zero.
+  for (const EventCounter& c : kEventCounters) {
+    const bool journaled = c.gate == CounterGate::kAlways;
+    EXPECT_EQ(line.find("\"" + std::string(c.name) + "\":") !=
+                  std::string::npos,
+              journaled)
+        << c.name;
+    EXPECT_EQ(back->*c.field, journaled ? r.*c.field : 0u) << c.name;
+  }
+  EXPECT_EQ(back->completed, r.completed);
+  EXPECT_EQ(back->cycles, r.cycles);
+  EXPECT_EQ(back->measured_messages, r.measured_messages);
+  EXPECT_EQ(back->packets_created, r.packets_created);
+  EXPECT_EQ(back->messages_ejected, r.messages_ejected);
+  EXPECT_EQ(back->link_errors_corrected, r.link_errors_corrected);
+  EXPECT_EQ(back->avg_latency_cycles, r.avg_latency_cycles);
+  EXPECT_EQ(back->energy_per_message_nj, r.energy_per_message_nj);
+  EXPECT_EQ(back->total_energy_uj, r.total_energy_uj);
+  EXPECT_EQ(back->rtx_buffer_utilization, r.rtx_buffer_utilization);
+  // Re-serializing the parsed record reproduces the line byte for byte.
+  EXPECT_EQ(campaign::replica_line(5, 0, 0, 42, 9, *back), line);
+}
+
+TEST(CounterTable, JsonlEmitsGatedColumnsExactlyWhenTheirGateHolds) {
+  struct Case {
+    const char* what;
+    std::vector<std::string> overrides;
+    std::vector<CounterGate> gates;  ///< Gates that hold for this config.
+  };
+  const std::vector<Case> cases = {
+      {"fault-free", {}, {CounterGate::kAlways}},
+      {"dead link",
+       {"dead_link=5:E"},
+       {CounterGate::kAlways, CounterGate::kPermanentFaults}},
+      {"escalation armed",
+       {"link_escalation_threshold=3"},
+       {CounterGate::kAlways, CounterGate::kPermanentFaults}},
+      {"storm",
+       {"storm_kill=100:5:E"},
+       {CounterGate::kAlways, CounterGate::kPermanentFaults,
+        CounterGate::kStorm}},
+      {"workload",
+       {"workload=w.wl"},
+       {CounterGate::kAlways, CounterGate::kWorkload}},
+  };
+  for (const Case& tc : cases) {
+    sweep::PointResult pr;
+    pr.config = tiny_config();
+    ASSERT_EQ(apply_overrides(pr.config, tc.overrides), std::nullopt);
+    pr.results = distinct_results();
+    const std::string line = sweep::to_jsonl(pr);
+
+    // Each emitted counter appears once, with its own value, in table
+    // order (the table is declared in JSONL column order).
+    std::size_t last = line.find("\"link_errors_corrected\":");
+    ASSERT_NE(last, std::string::npos);
+    for (const EventCounter& c : kEventCounters) {
+      const std::string key = "\"" + std::string(c.name) + "\":";
+      const std::size_t at = line.find(key);
+      bool holds = false;
+      for (const CounterGate g : tc.gates) holds = holds || g == c.gate;
+      ASSERT_EQ(at != std::string::npos, holds) << tc.what << ": " << c.name;
+      if (!holds) continue;
+      EXPECT_EQ(line.find(key, at + 1), std::string::npos) << c.name;
+      const std::string value = std::to_string(pr.results.*c.field);
+      const std::size_t end = line.find_first_of(",}", at);
+      EXPECT_EQ(line.substr(at + key.size(), end - at - key.size()), value)
+          << tc.what << ": " << c.name;
+      EXPECT_GT(at, last) << tc.what << ": " << c.name << " out of order";
+      last = at;
+    }
+  }
+}
+
+TEST(CampaignJournal, MalformedNumbersEndTheValidPrefix) {
+  const SimResults r = distinct_results();
+  const std::string good = campaign::replica_line(5, 0, 0, 42, 9, r);
+  auto corrupt = [&](const std::string& key, const std::string& value) {
+    const std::string k = "\"" + key + "\":";
+    const std::size_t at = good.find(k) + k.size();
+    const std::size_t end = good.find_first_of(",}", at);
+    std::string bad = good;
+    bad.replace(at, end - at, value);
+    return bad;
+  };
+  const std::string path = ::testing::TempDir() + "journal_numbers.jsonl";
+  for (const std::string& bad : {
+           corrupt("cycles", "12x"),
+           corrupt("nacks_sent", "99999999999999999999999"),
+           corrupt("avg_latency_cycles", "1.5x"),
+           corrupt("total_energy_uj", "1e999"),
+           corrupt("completed", "truex"),
+       }) {
+    write_lines(path, {good, bad, good}, 3);
+    const auto journal = campaign::Journal::load(path, 5, {42});
+    EXPECT_EQ(journal.valid_lines(), 1u) << bad;
+    EXPECT_EQ(journal.valid_bytes(), good.size() + 1) << bad;
+  }
+  // The unmodified line still parses: the corruptions alone are rejected.
+  write_lines(path, {good, good}, 2);
+  EXPECT_EQ(campaign::Journal::load(path, 5, {42}).valid_lines(), 2u);
   std::remove(path.c_str());
 }
 

@@ -119,6 +119,60 @@ TEST(Config, ApplyOverridesStopsAtFirstError) {
   EXPECT_EQ(cfg.mesh_height, 8);  // Not applied.
 }
 
+TEST(Config, OverrideRejectsNodeIdsBeyondNodeIdRange) {
+  // 65541 would wrap to node 5 in the 16-bit NodeId and pass validate().
+  SimConfig cfg;
+  for (const char* a : {"dead_link=65541:E", "dead_router=65541",
+                        "storm_kill=10:65541:E", "dead_link=-1:E",
+                        "dead_router=65536"}) {
+    const auto err = apply_override(cfg, a);
+    ASSERT_TRUE(err.has_value()) << a;
+    EXPECT_NE(err->find("bad value for"), std::string::npos) << *err;
+  }
+  EXPECT_TRUE(cfg.dead_links.empty());
+  EXPECT_TRUE(cfg.dead_routers.empty());
+  EXPECT_TRUE(cfg.storm_kills.empty());
+}
+
+TEST(Config, OverrideParsesLinkSites) {
+  SimConfig cfg;
+  EXPECT_EQ(apply_override(cfg, "dead_link=5:e"), std::nullopt);
+  EXPECT_EQ(apply_override(cfg, "dead_router=65535"), std::nullopt);
+  EXPECT_EQ(apply_override(cfg, "storm_kill=10:6:W"), std::nullopt);
+  ASSERT_EQ(cfg.dead_links.size(), 1u);
+  EXPECT_EQ(cfg.dead_links[0].first, 5);
+  EXPECT_EQ(cfg.dead_links[0].second, Direction::kEast);
+  ASSERT_EQ(cfg.dead_routers.size(), 1u);
+  EXPECT_EQ(cfg.dead_routers[0], 65535);
+  ASSERT_EQ(cfg.storm_kills.size(), 1u);
+  EXPECT_EQ(cfg.storm_kills[0].at, 10u);
+  EXPECT_EQ(cfg.storm_kills[0].node, 6);
+  EXPECT_EQ(cfg.storm_kills[0].dir, Direction::kWest);
+  for (const char* a : {"dead_link=5:X", "dead_link=5:EE", "dead_link=5:",
+                        "dead_link=5", "storm_kill=10:6", "storm_kill=10:6:L",
+                        "storm_kill=x:6:N"}) {
+    EXPECT_TRUE(apply_override(cfg, a).has_value()) << a;
+  }
+}
+
+TEST(Config, TestMutationIsAKnownPlant) {
+  SimConfig cfg;
+  EXPECT_EQ(cfg.test_mutation, TestMutation::kNone);
+  for (const TestMutation m :
+       {TestMutation::kDropWindow, TestMutation::kDamqCreditLeak,
+        TestMutation::kRouteIntoDeadLink, TestMutation::kStrandWaiter,
+        TestMutation::kNone}) {
+    const std::string name = to_string(m);
+    EXPECT_EQ(parse_test_mutation(name), m) << name;
+    EXPECT_EQ(apply_override(cfg, "test_mutation=" + name), std::nullopt);
+    EXPECT_EQ(cfg.test_mutation, m) << name;
+  }
+  // A misspelled plant is an error, not a silent no-op.
+  EXPECT_EQ(parse_test_mutation("drop-window"), std::nullopt);
+  EXPECT_TRUE(apply_override(cfg, "test_mutation=drop-window").has_value());
+  EXPECT_TRUE(apply_override(cfg, "test_mutation=").has_value());
+}
+
 TEST(Config, EnumToString) {
   EXPECT_STREQ(to_string(RoutingAlgorithm::kXY), "xy");
   EXPECT_STREQ(to_string(LinkProtection::kHbh), "hbh");

@@ -47,6 +47,7 @@ using ftnoc::Cycle;
 using ftnoc::Network;
 using ftnoc::Rng;
 using ftnoc::SimConfig;
+using ftnoc::TestMutation;
 
 struct RunResult {
   bool failed = false;
@@ -61,7 +62,7 @@ struct Options {
   std::uint64_t seed = 1;
   double time_budget_sec = 240.0;
   std::string out = "fuzz_repro.txt";
-  std::string plant;
+  TestMutation plant = TestMutation::kNone;
   bool selftest = false;
   std::string replay;
 };
@@ -69,7 +70,7 @@ struct Options {
 // Runs one configuration (given as override assignments applied to a
 // default SimConfig) on both router implementations in lock-step.
 RunResult run_pair(const std::vector<std::string>& overrides, Cycle cycles,
-                   const std::string& plant) {
+                   TestMutation plant) {
   RunResult res;
   SimConfig cfg;
   if (auto err = ftnoc::apply_overrides(cfg, overrides)) {
@@ -89,7 +90,7 @@ RunResult run_pair(const std::vector<std::string>& overrides, Cycle cycles,
   opt_cfg.test_mutation = plant;
   SimConfig ref_cfg = cfg;
   ref_cfg.use_reference_router = true;
-  ref_cfg.test_mutation.clear();
+  ref_cfg.test_mutation = TestMutation::kNone;
 
   Network opt(opt_cfg);
   Network ref(ref_cfg);
@@ -275,7 +276,7 @@ bool same_failure(const RunResult& trial, const RunResult& orig) {
 // override the final repro keeps is one the original finding needs.
 std::vector<std::string> minimize(std::vector<std::string> ov,
                                   const RunResult& orig, Cycle cycles,
-                                  const std::string& plant,
+                                  TestMutation plant,
                                   const std::chrono::steady_clock::time_point
                                       deadline) {
   bool shrunk = true;
@@ -298,22 +299,24 @@ std::vector<std::string> minimize(std::vector<std::string> ov,
 }
 
 void write_repro(const std::string& path, const std::vector<std::string>& ov,
-                 Cycle cycles, const std::string& plant,
+                 Cycle cycles, TestMutation plant,
                  const RunResult& res) {
   std::ofstream f(path);
   f << "# ftnoc_fuzz repro — replay with: ftnoc_fuzz --replay " << path
     << "\n";
   f << "# " << res.what << "\n";
   f << "cycles=" << cycles << "\n";
-  if (!plant.empty()) f << "plant=" << plant << "\n";
+  if (plant != TestMutation::kNone) {
+    f << "plant=" << ftnoc::to_string(plant) << "\n";
+  }
   for (const auto& o : ov) f << o << "\n";
 }
 
 // Repro format: one key=value per line; '#' comments; the harness-level
 // keys "cycles" and "plant" are consumed here, everything else goes to
-// apply_override.
+// apply_override. An unknown plant name fails the read.
 bool read_repro(const std::string& path, std::vector<std::string>& ov,
-                Cycle& cycles, std::string& plant) {
+                Cycle& cycles, TestMutation& plant) {
   std::ifstream f(path);
   if (!f) return false;
   std::string line;
@@ -322,7 +325,9 @@ bool read_repro(const std::string& path, std::vector<std::string>& ov,
     if (line.rfind("cycles=", 0) == 0) {
       cycles = static_cast<Cycle>(std::stoull(line.substr(7)));
     } else if (line.rfind("plant=", 0) == 0) {
-      plant = line.substr(6);
+      const auto m = ftnoc::parse_test_mutation(line.substr(6));
+      if (!m) return false;
+      plant = *m;
     } else {
       ov.push_back(line);
     }
@@ -345,7 +350,7 @@ int fuzz_main(const Options& opt) {
     }
     Rng rng(Rng::derive_seed(opt.seed, static_cast<std::uint64_t>(i)));
     std::vector<std::string> ov;
-    if (opt.selftest && opt.plant == "route_into_dead_link") {
+    if (opt.selftest && opt.plant == TestMutation::kRouteIntoDeadLink) {
       // This plant's habitat: a faulted topology where the fault-blind
       // closed form differs from the fault-aware port set, so the
       // optimized router steers headers at the dead link while the
@@ -361,7 +366,7 @@ int fuzz_main(const Options& opt) {
             "protection=hbh",
             "routing=adaptive",
             "dead_link=5:E"};
-    } else if (opt.selftest && opt.plant == "strand_waiter") {
+    } else if (opt.selftest && opt.plant == TestMutation::kStrandWaiter) {
       // This plant's habitat: heavy adaptive traffic with aggressive
       // deadlock probing (so output VCs carry registered waiters) and a
       // storm timeline that drains central links mid-run. A waiter whose
@@ -385,7 +390,7 @@ int fuzz_main(const Options& opt) {
             "storm_kill=200:5:E",
             "storm_kill=400:6:E",
             "storm_kill=600:9:E"};
-    } else if (opt.selftest && opt.plant == "damq_credit_leak") {
+    } else if (opt.selftest && opt.plant == TestMutation::kDamqCreditLeak) {
       // This plant's habitat: damq shared buffering under enough load
       // that credit returns actually take the shared path (the leak
       // skips the shared_held_ decrement, so the sender's pool ledger
@@ -442,8 +447,8 @@ int fuzz_main(const Options& opt) {
       std::printf("WARNING: minimized repro did not replay the finding\n");
       return 2;
     }
-    if (opt.selftest && (opt.plant == "route_into_dead_link" ||
-                         opt.plant == "strand_waiter")) {
+    if (opt.selftest && (opt.plant == TestMutation::kRouteIntoDeadLink ||
+                         opt.plant == TestMutation::kStrandWaiter)) {
       // These plants only manifest on a faulted (or mid-run faulting)
       // mesh, so a faithful minimizer must keep the fault-topology
       // override. Losing it was exactly the old any-failure acceptance
@@ -466,7 +471,7 @@ int fuzz_main(const Options& opt) {
 int replay_main(const Options& opt) {
   std::vector<std::string> ov;
   Cycle cycles = 1500;
-  std::string plant = opt.plant;
+  TestMutation plant = opt.plant;
   if (!read_repro(opt.replay, ov, cycles, plant)) {
     std::fprintf(stderr, "cannot read repro file: %s\n", opt.replay.c_str());
     return 2;
@@ -505,10 +510,18 @@ int main(int argc, char** argv) {
     } else if (a == "--out") {
       opt.out = next();
     } else if (a == "--plant") {
-      opt.plant = next();
+      const char* name = next();
+      const auto m = ftnoc::parse_test_mutation(name);
+      if (!m) {
+        std::fprintf(stderr, "ftnoc_fuzz: unknown plant: %s\n", name);
+        return 2;
+      }
+      opt.plant = *m;
     } else if (a == "--selftest") {
       opt.selftest = true;
-      if (opt.plant.empty()) opt.plant = "drop_window";
+      if (opt.plant == TestMutation::kNone) {
+        opt.plant = TestMutation::kDropWindow;
+      }
     } else if (a == "--replay") {
       opt.replay = next();
     } else {
