@@ -65,11 +65,6 @@ std::optional<TestMutation> parse_test_mutation(std::string_view name) {
   return std::nullopt;
 }
 
-namespace {
-
-// Mirrors Topology::neighbor (noc/topology.cpp) without depending on the
-// noc layer: row 0 is the top of the mesh, north decreases y, the torus
-// wraps. Returns -1 at a mesh edge.
 int mesh_neighbor(const SimConfig& c, int n, Direction d) {
   int x = n % c.mesh_width;
   int y = n / c.mesh_width;
@@ -87,6 +82,8 @@ int mesh_neighbor(const SimConfig& c, int n, Direction d) {
   }
   return y * c.mesh_width + x;
 }
+
+namespace {
 
 /// Reachability precheck for a hard-faulted config: every live router must
 /// be able to reach every other live router over live links. Returns the
@@ -143,9 +140,11 @@ std::optional<std::string> SimConfig::validate() const {
     return err("mesh must be at least 2x1");
   }
   if (num_nodes() > 0xFFFF - 1) return err("too many nodes for NodeId");
-  // The separable allocators use 32-wide round-robin arbiters over P*V
-  // global VC ids; with P = 5 ports that bounds V at 6.
-  if (num_vcs < 1 || num_vcs > 6) return err("num_vcs must be in [1,6]");
+  // The separable allocators use 32-wide round-robin arbiters and masks
+  // over P*V global VC ids; with P = 5 ports that bounds V at kMaxVcs.
+  if (num_vcs < 1 || num_vcs > kMaxVcs) {
+    return err("num_vcs must be in [1," + std::to_string(kMaxVcs) + "]");
+  }
   if (vc_buffer_depth < 1) return err("vc_buffer_depth must be >= 1");
   if (pipeline_stages < 1 || pipeline_stages > 4) {
     return err("pipeline_stages must be in [1,4]");

@@ -289,6 +289,13 @@ struct SimConfig {
   std::optional<std::string> validate() const;
 };
 
+/// The node reached by leaving `n` through `d` on `c`'s mesh/torus, or -1
+/// at a mesh edge (and for kLocal). Mirrors Topology::neighbor without
+/// depending on the noc layer: row 0 is the top of the mesh, north
+/// decreases y, the torus wraps. Validation uses it for the reachability
+/// precheck.
+int mesh_neighbor(const SimConfig& c, int n, Direction d);
+
 /// Parses `key=value` overrides (e.g. from argv) into `cfg`.
 /// Recognized keys mirror the field names, e.g. "mesh_width=4",
 /// "protection=hbh", "pattern=bc", "routing=adaptive",

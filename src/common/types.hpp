@@ -42,6 +42,11 @@ enum class Direction : std::uint8_t {
 
 inline constexpr int kNumDirections = 5;
 
+/// Upper bound on VCs per physical channel. Routers index (port, VC) pairs
+/// as gids in 32-bit masks and arbiter request sets, so kNumDirections *
+/// kMaxVcs must stay <= 32 (static_asserted beside the router's masks).
+inline constexpr int kMaxVcs = 6;
+
 /// Returns the direction a flit arriving from `d` entered through
 /// (i.e. the port on the receiving router facing back at the sender).
 constexpr Direction opposite(Direction d) {

@@ -68,8 +68,24 @@ class DeadlockAgent {
                 Cycle probe_timeout = 128);
 
   // --- Rule 1 -----------------------------------------------------------
-  /// Whether a VC blocked for `blocked_cycles` should launch a probe now.
-  bool should_probe(Cycle blocked_cycles, Cycle now) const;
+  /// Whether a VC blocked for `blocked_cycles` should launch a probe now:
+  /// it is over the threshold and the agent may probe at all.
+  bool should_probe(Cycle blocked_cycles, Cycle now) const {
+    return blocked_cycles > probe_threshold_ && may_probe(now);
+  }
+  /// The VC-independent half of should_probe(): not recovering, no live
+  /// probe within its timeout, and out of backoff. Routers test it once
+  /// per cycle before scanning their blocked VCs.
+  bool may_probe(Cycle now) const {
+    if (recovery_mode_) return false;  // Already recovering.
+    if (outstanding_.has_value() &&
+        now - outstanding_since_ <= probe_timeout_) {
+      return false;  // One live probe at a time.
+    }
+    // No outstanding probe, or it was discarded along a non-deadlocked
+    // path and timed out — a fresh probe may launch (subject to backoff).
+    return !ever_probed_ || now >= last_probe_cycle_ + probe_backoff_;
+  }
   /// Mints a new probe originating here; remembers it as outstanding.
   ProbeSignal make_probe(PortId target_port, VcId target_vc, Cycle now);
 

@@ -293,20 +293,10 @@ Network::Network(const SimConfig& cfg)
     live_wire_mask_.assign((nwires + 63) / 64, 0);
     tx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
     rtx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
-    // Devirtualized router view + flat geometric-neighbour table for the
-    // hot pop/wake loop (geometry never changes after construction).
+    // Devirtualized router view for the hot pop/wake loop.
     fast_routers_.resize(static_cast<std::size_t>(n));
     for (NodeId i = 0; i < n; ++i) {
       fast_routers_[i] = static_cast<Router*>(routers_[i].get());
-    }
-    nbr_gid_.assign(static_cast<std::size_t>(n) * 4, -1);
-    for (NodeId i = 0; i < n; ++i) {
-      for (int d = 0; d < 4; ++d) {
-        const auto nb = topo_.neighbor(i, static_cast<Direction>(d));
-        if (nb) nbr_gid_[static_cast<std::size_t>(i) * 4 +
-                         static_cast<std::size_t>(d)] =
-            static_cast<std::int32_t>(*nb);
-      }
     }
     // Everybody gets one initial step at cycle 0; routers that stay
     // quiescent simply never re-arm (a dead node's router among them).
@@ -319,17 +309,6 @@ Network::Network(const SimConfig& cfg)
   if (cfg_.link_stats) {
     link_fwd_.assign(link_wires_.size(), 0);
     link_stall_.assign(link_wires_.size(), 0);
-    link_stats_nbr_.assign(link_wires_.size(), -1);
-    for (NodeId i = 0; i < n; ++i) {
-      for (int d = 0; d < 4; ++d) {
-        const auto nb = topo_.neighbor(i, static_cast<Direction>(d));
-        if (nb) {
-          link_stats_nbr_[static_cast<std::size_t>(i) * 4 +
-                          static_cast<std::size_t>(d)] =
-              static_cast<std::int32_t>(*nb);
-        }
-      }
-    }
   }
 
   // Workload ingestion (DESIGN.md §4.14): parse + expand into TraceRecords
@@ -610,13 +589,13 @@ void Network::accumulate_link_stats() {
       ++link_fwd_[wid];
       continue;
     }
-    const std::int32_t nb = link_stats_nbr_[wid];
-    if (nb < 0) continue;  // No wire without a neighbor; belt and braces.
-    const auto back =
-        static_cast<PortId>(opposite(static_cast<Direction>(wid & 3)));
+    const auto dir = static_cast<Direction>(wid & 3);
+    const auto nb = topo_.neighbor(static_cast<NodeId>(wid >> 2), dir);
+    if (!nb) continue;  // No wire without a neighbor; belt and braces.
+    const auto back = static_cast<PortId>(opposite(dir));
     int occ = 0;
     for (int v = 0; v < cfg_.num_vcs; ++v) {
-      occ += routers_[static_cast<std::size_t>(nb)]->input_buffer_size(
+      occ += routers_[*nb]->input_buffer_size(
           back, static_cast<VcId>(v));
     }
     if (occ > 0) ++link_stall_[wid];
@@ -702,13 +681,11 @@ void Network::step_event() {
       for (std::uint8_t m = wi.wrote_fwd; m != 0;
            m &= static_cast<std::uint8_t>(m - 1)) {
         const int d = std::countr_zero(static_cast<unsigned>(m));
-        const std::int32_t nb =
-            nbr_gid_[static_cast<std::size_t>(i) * 4 +
-                     static_cast<std::size_t>(d)];
-        FTNOC_DCHECK(nb >= 0);
+        const auto nb = topo_.neighbor(i, static_cast<Direction>(d));
+        FTNOC_DCHECK(nb.has_value());
         mark_wire_live(static_cast<std::uint32_t>(i) * 4 +
                        static_cast<std::uint32_t>(d));
-        if (nb >= 0) schedule(static_cast<NodeId>(nb), now_ + 1);
+        if (nb) schedule(*nb, now_ + 1);
       }
       for (std::uint8_t m = wi.wrote_back; m != 0;
            m &= static_cast<std::uint8_t>(m - 1)) {
@@ -718,15 +695,13 @@ void Network::step_event() {
           mark_wire_live(local_wire_id(i));
           continue;
         }
-        const std::int32_t nb =
-            nbr_gid_[static_cast<std::size_t>(i) * 4 +
-                     static_cast<std::size_t>(d)];
-        FTNOC_DCHECK(nb >= 0);
-        if (nb < 0) continue;
-        mark_wire_live(static_cast<std::uint32_t>(nb) * 4 +
+        const auto nb = topo_.neighbor(i, static_cast<Direction>(d));
+        FTNOC_DCHECK(nb.has_value());
+        if (!nb) continue;
+        mark_wire_live(static_cast<std::uint32_t>(*nb) * 4 +
                        static_cast<std::uint32_t>(
                            opposite(static_cast<Direction>(d))));
-        schedule(static_cast<NodeId>(nb), now_ + 1);
+        schedule(*nb, now_ + 1);
       }
 
       // Only a stepped router can change its occupancy terms.

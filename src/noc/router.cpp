@@ -47,7 +47,7 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
       sa_out_arbs_(kNumDirections, kNumDirections),
       replay_arbs_(kNumDirections, cfg.num_vcs) {
   const int pv = num_ports_ * num_vcs_;
-  FTNOC_CHECK(pv <= 32);  // Work masks are 32-bit (5 ports x <= 6 VCs).
+  FTNOC_CHECK(num_vcs_ >= 1 && num_vcs_ <= kMaxVcs);
   const std::size_t depth = static_cast<std::size_t>(cfg_.vc_buffer_depth);
   in_flit_slab_.resize(static_cast<std::size_t>(pv) * depth);
   inputs_.resize(static_cast<std::size_t>(pv));
@@ -62,8 +62,12 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
   drop_until_.assign(static_cast<std::size_t>(pv), 0);
   va_rotation_.assign(static_cast<std::size_t>(pv), 0);
   va_reqs_.assign(static_cast<std::size_t>(pv), 0);
-  va_want_.assign(static_cast<std::size_t>(pv),
-                  {kInvalidPort, kInvalidVc});
+  for (PortId p = 0; p < num_ports_; ++p) {
+    if (topo_.has_neighbor(id_, static_cast<Direction>(p))) {
+      nbr_ports_ |= port_bit(p);
+    }
+    vc0_gids_ |= 1u << gid(p, 0);
+  }
 
   // Retransmission buffers exist on network output VCs when the link
   // protection scheme is HBH or when deadlock recovery (which reuses them)
@@ -125,23 +129,14 @@ void Router::connect(PortId p, Wire* in, Wire* out) {
   tx_slots_cache_ = rtx_slots_cache_ = -1;
 }
 
-bool Router::port_has_neighbor(PortId p) const {
-  if (p == kLocalPort) return false;
-  return topo_.has_neighbor(id_, static_cast<Direction>(p));
-}
-
-bool Router::port_usable(PortId p) const {
-  return port_has_neighbor(p) && !link_dead_[p];
-}
-
 void Router::fail_link(PortId p) {
   FTNOC_CHECK(p < num_ports_ && p != kLocalPort);
-  link_dead_[p] = true;
+  dead_ports_ |= port_bit(p);
 }
 
 void Router::begin_link_drain(PortId p, Cycle now) {
   FTNOC_CHECK(p < num_ports_ && p != kLocalPort);
-  if (link_dead_[p] || (draining_ & port_bit(p)) != 0) return;
+  if (((dead_ports_ | draining_) & port_bit(p)) != 0) return;
   draining_ |= port_bit(p);
   uncorrectable_streak_[p] = 0;
   escalation_requests_ &= static_cast<std::uint8_t>(~port_bit(p));
@@ -290,7 +285,7 @@ void Router::step(Cycle now) {
       const PortId p = static_cast<PortId>(std::countr_zero(dm));
       if (((out_work_ >> (p * num_vcs_)) & vmask) != 0) continue;
       if (staged_[p].has_value()) continue;
-      link_dead_[p] = true;
+      dead_ports_ |= port_bit(p);
       draining_ &= static_cast<std::uint8_t>(~port_bit(p));
     }
   }
@@ -530,8 +525,8 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
           // uncorrectable errors on one link marks it flaky-to-dead; the
           // Network polls the request, vetoes partitioning kills, and
           // starts the drain on both endpoints.
-          if (cfg_.faults.link_escalation_threshold > 0 && !link_dead_[p] &&
-              (draining_ & port_bit(p)) == 0) {
+          if (cfg_.faults.link_escalation_threshold > 0 &&
+              ((dead_ports_ | draining_) & port_bit(p)) == 0) {
             if (++uncorrectable_streak_[p] >= static_cast<std::uint32_t>(
                     cfg_.faults.link_escalation_threshold)) {
               escalation_requests_ |= port_bit(p);
@@ -736,7 +731,7 @@ void Router::phase_replay_and_switch(Cycle now) {
     if (vc.out_port == kLocalPort) {
       eject(f, static_cast<PortId>(p), v, now);
       if (tail) {
-        ovc(kLocalPort, vc.out_vc).allocated = false;
+        set_allocated(gid(kLocalPort, vc.out_vc), false);
         update_output_work(gid(kLocalPort, vc.out_vc));
       }
     } else {
@@ -884,12 +879,12 @@ void Router::maybe_release_outputs(Cycle now) {
       const auto& rtx = out_rtx_[static_cast<std::size_t>(og)];
       if (rtx->contains_packet(out.owner_pid)) continue;
     }
-    out.allocated = false;
+    set_allocated(og, false);
     out.tail_sent = false;
     if (out.has_waiter) {
       // Deferred allocation (deadlock recovery): the queued waiter
       // inherits the output VC; its absorbed flits can now replay out.
-      out.allocated = true;
+      set_allocated(og, true);
       out.owner_gid = out.waiter_gid;
       out.owner_pid = out.waiter_pid;
       out.has_waiter = false;
@@ -913,53 +908,46 @@ void Router::maybe_release_outputs(Cycle now) {
 // VC allocation.
 // ---------------------------------------------------------------------------
 
-std::optional<std::pair<PortId, VcId>> Router::pick_va_request(InputVc& vc,
-                                                               PortId in_port,
-                                                               VcId in_vc,
-                                                               int rotation) {
-  // Gather the free output VCs on all valid candidate ports, then pick one
-  // by the input VC's rotating preference (the input stage of a separable
-  // allocator).
+int Router::pick_va_request(const InputVc& vc, int g, int rotation) const {
+  // Gather the free output VCs on all valid candidate ports as a gid mask,
+  // then pick one by the input VC's rotating preference (the input stage
+  // of a separable allocator). Set bits ascend in (port, VC) order, so the
+  // rotation indexes the options in the same order as a port-by-port scan.
   //
   // Escape-VC policy (Duato-style avoidance): VC 0 is the escape lane,
   // reachable only through the deadlock-free XY direction; adaptive
   // traffic uses VCs 1..V-1 on any productive port. A packet that arrived
   // *on* the escape VC stays in the escape subnetwork until delivery,
   // which keeps the extended channel dependency graph acyclic.
-  const bool escape_mode = cfg_.routing == RoutingAlgorithm::kAdaptiveEscape;
-  const bool escape_bound =
-      escape_mode && in_port != kLocalPort && in_vc == 0;
-  PortId xy_port = kInvalidPort;
-  if (escape_mode && !vc.buf.empty()) {
-    xy_port = first_port(
-        route(topo_, RoutingAlgorithm::kXY, id_, vc.buf.front().dest));
+  FTNOC_DCHECK(!vc.buf.empty());
+  const Flit& head = vc.buf.front();
+  PortMask ports = vc.candidates & allocatable_ports();
+  if (mask_has(vc.candidates, kLocalPort) && head.dest == id_) {
+    ports |= port_bit(kLocalPort);
   }
+  std::uint32_t opts = port_gids(ports);
   // Under voq a packet only ever requests the VC class of its destination
-  // column (voq lane); escape_mode is mutually exclusive (voq => XY).
-  const int lane = vc.buf.empty() ? -1 : voq_lane(vc.buf.front());
-
-  std::array<std::pair<PortId, VcId>, 32> options;
-  int n = 0;
-  for (PortId o = 0; o < num_ports_; ++o) {
-    if (!mask_has(vc.candidates, o)) continue;
-    const bool valid = (o == kLocalPort)
-                           ? (!vc.buf.empty() && vc.buf.front().dest == id_)
-                           : port_allocatable(o);
-    if (!valid) continue;
-    for (VcId v = 0; v < num_vcs_; ++v) {
-      if (lane >= 0 && v != lane) continue;
-      if (ovc(o, v).allocated || n >= static_cast<int>(options.size())) {
-        continue;
-      }
-      if (escape_mode && o != kLocalPort) {
-        if (escape_bound && (v != 0 || o != xy_port)) continue;
-        if (!escape_bound && v == 0 && o != xy_port) continue;
-      }
-      options[n++] = {o, v};
+  // column (voq lane); escape routing is mutually exclusive (voq => XY).
+  const int lane = voq_lane(head);
+  if (lane >= 0) opts &= vc0_gids_ << lane;
+  if (cfg_.routing == RoutingAlgorithm::kAdaptiveEscape) {
+    const PortId xy_port =
+        first_port(route(topo_, RoutingAlgorithm::kXY, id_, head.dest));
+    const std::uint32_t local = port_gids(port_bit(kLocalPort));
+    const std::uint32_t xy_escape =
+        xy_port < num_ports_ ? 1u << gid(xy_port, 0) : 0u;
+    const bool escape_bound = g / num_vcs_ != kLocalPort && g % num_vcs_ == 0;
+    if (escape_bound) {
+      opts &= local | xy_escape;  // Only the escape lane toward XY.
+    } else {
+      opts &= ~(vc0_gids_ & ~local & ~xy_escape);  // No off-XY escape lane.
     }
   }
-  if (n == 0) return std::nullopt;
-  return options[rotation % n];
+  opts &= ~alloc_ogs_;
+  const int n = std::popcount(opts);
+  if (n == 0) return -1;
+  for (int k = rotation % n; k > 0; --k) opts &= opts - 1;
+  return std::countr_zero(opts);
 }
 
 void Router::phase_va(Cycle now) {
@@ -973,6 +961,7 @@ void Router::phase_va(Cycle now) {
   // marks which va_reqs_ entries are valid this cycle, so nothing needs
   // clearing up front. Only input VCs in the work set can be in kVaWait.
   va_req_ogs_ = 0;
+  const PortMask alloc_ports = allocatable_ports();
   for (std::uint32_t m = in_work_; m != 0; m &= m - 1) {
     const int g = std::countr_zero(m);
     auto& vc = inputs_[static_cast<std::size_t>(g)];
@@ -984,21 +973,13 @@ void Router::phase_va(Cycle now) {
     // routing computation (mesh edge / wrong-PE ejection): the VA catches
     // it from its link-state table (§4.2) and the RT redoes the route —
     // a single-cycle penalty in current-node-routing pipelines.
-    bool any_valid = false;
-    bool dead_candidate = false;
-    for (PortId o = 0; o < num_ports_; ++o) {
-      if (!mask_has(vc.candidates, o)) continue;
-      if (o == kLocalPort ? vc.buf.front().dest == id_
-                          : port_allocatable(o)) {
-        any_valid = true;
-        break;
-      }
-      if (o != kLocalPort && port_has_neighbor(o) &&
-          (link_dead_[o] || (draining_ & port_bit(o)) != 0)) {
-        dead_candidate = true;
-      }
-    }
+    const bool any_valid =
+        (vc.candidates & alloc_ports) != 0 ||
+        (mask_has(vc.candidates, kLocalPort) && vc.buf.front().dest == id_);
     if (!any_valid) {
+      // A neighbour exists but the link is hard-failed or draining.
+      const bool dead_candidate =
+          (vc.candidates & nbr_ports_ & ~alloc_ports) != 0;
       if (cfg_.adaptive_faults && dead_candidate) {
         // Non-minimal escape tier (DESIGN.md §4.12): every candidate
         // direction crosses a hard-failed or draining link, so detour
@@ -1016,12 +997,7 @@ void Router::phase_va(Cycle now) {
           vc.candidates = 0;
           continue;
         }
-        PortMask usable = 0;
-        for (PortId o = 0; o < num_ports_; ++o) {
-          if (mask_has(esc, o) && o != kLocalPort && port_allocatable(o)) {
-            usable |= port_bit(o);
-          }
-        }
+        const PortMask usable = esc & alloc_ports;
         if (usable == 0) continue;  // Escape ports all draining; retry.
         vc.candidates = usable;
         if (stats_) stats_->on_hard_fault_reroute();
@@ -1035,12 +1011,8 @@ void Router::phase_va(Cycle now) {
         // non-minimally over any live port; the next hop re-routes
         // minimally from there (the paper's "redirect blocked flits to
         // another direction using an adaptive routing scheme", 3.2.2).
-        PortMask live = 0;
-        for (PortId o = 0; o < num_ports_; ++o) {
-          if (o != kLocalPort && port_allocatable(o)) live |= port_bit(o);
-        }
-        if (live != 0) {
-          vc.candidates = live;
+        if (alloc_ports != 0) {
+          vc.candidates = alloc_ports;
           if (stats_) stats_->on_hard_fault_reroute();
           // Fall through: request an output VC on the detour this cycle.
         } else {
@@ -1057,44 +1029,47 @@ void Router::phase_va(Cycle now) {
       }
     }
 
-    auto req = pick_va_request(vc, static_cast<PortId>(g / num_vcs_),
-                               static_cast<VcId>(g % num_vcs_),
-                               va_rotation_[static_cast<std::size_t>(g)]++);
-    if (!req) continue;  // All candidate output VCs busy; retry next cycle.
-    const int og = gid(req->first, req->second);
+    const int og =
+        pick_va_request(vc, g, va_rotation_[static_cast<std::size_t>(g)]++);
+    if (og < 0) continue;  // All candidate output VCs busy; retry next cycle.
     if (va_req_ogs_ & (1u << og)) {
       va_reqs_[static_cast<std::size_t>(og)] |= (1u << g);
     } else {
       va_reqs_[static_cast<std::size_t>(og)] = (1u << g);
       va_req_ogs_ |= (1u << og);
     }
-    va_want_[static_cast<std::size_t>(g)] = *req;
   }
 
-  for (std::uint32_t m = va_req_ogs_; m != 0; m &= m - 1) {
-    const int og = std::countr_zero(m);
-    const int g = va_arbs_[og].arbitrate(va_reqs_[static_cast<std::size_t>(og)]);
-    FTNOC_CHECK(g >= 0);
-    auto& vc = inputs_[static_cast<std::size_t>(g)];
-    const PortId o = va_want_[static_cast<std::size_t>(g)].first;
-    const VcId v = va_want_[static_cast<std::size_t>(g)].second;
-    charge(power::EnergyEvent::kVcAllocation);
+  // Grants walk port-major, which is ascending output gid with the (port,
+  // VC) pair at hand and no divide.
+  const std::uint32_t vmask = (1u << num_vcs_) - 1u;
+  for (PortId o = 0; o < num_ports_; ++o) {
+    for (std::uint32_t m = (va_req_ogs_ >> gid(o, 0)) & vmask; m != 0;
+         m &= m - 1) {
+      const auto v = static_cast<VcId>(std::countr_zero(m));
+      const int og = gid(o, v);
+      const int g =
+          va_arbs_[og].arbitrate(va_reqs_[static_cast<std::size_t>(og)]);
+      FTNOC_CHECK(g >= 0);
+      auto& vc = inputs_[static_cast<std::size_t>(g)];
+      charge(power::EnergyEvent::kVcAllocation);
 
-    if (f_va_live_ && faults_->upset_va_allocation()) {
-      run_ac_on_va(static_cast<std::size_t>(g), now);
-      continue;
+      if (f_va_live_ && faults_->upset_va_allocation()) {
+        run_ac_on_va(static_cast<std::size_t>(g), now);
+        continue;
+      }
+
+      vc.state = VcState::kActive;
+      vc.out_port = o;
+      vc.out_vc = v;
+      vc.state_since = now;
+      auto& out = ovc(o, v);
+      set_allocated(og, true);
+      out.owner_gid = static_cast<std::uint16_t>(g);
+      out.owner_pid = vc.buf.front().packet_id;
+      out.tail_sent = false;
+      update_output_work(og);
     }
-
-    vc.state = VcState::kActive;
-    vc.out_port = o;
-    vc.out_vc = v;
-    vc.state_since = now;
-    auto& out = ovc(o, v);
-    out.allocated = true;
-    out.owner_gid = static_cast<std::uint16_t>(g);
-    out.owner_pid = vc.buf.front().packet_id;
-    out.tail_sent = false;
-    update_output_work(og);
   }
 }
 
@@ -1361,11 +1336,13 @@ std::optional<std::pair<PortId, VcId>> Router::resolve_chain(
     return std::make_pair(vc.out_port, vc.out_vc);
   }
   if (vc.state == VcState::kVaWait) {
-    for (PortId o = 0; o < num_ports_; ++o) {
-      if (!mask_has(vc.candidates, o) || o == kLocalPort) continue;
-      for (VcId v = 0; v < num_vcs_; ++v) {
-        if (ovc(o, v).allocated) return std::make_pair(o, v);
-      }
+    // The lowest held output gid on a non-local candidate port.
+    const std::uint32_t held =
+        port_gids(vc.candidates & ~port_bit(kLocalPort)) & alloc_ogs_;
+    if (held != 0) {
+      const int og = std::countr_zero(held);
+      return std::make_pair(static_cast<PortId>(og / num_vcs_),
+                            static_cast<VcId>(og % num_vcs_));
     }
   }
   return std::nullopt;
@@ -1500,8 +1477,10 @@ void Router::phase_deadlock(Cycle now) {
   // established wormholes (credit-blocked) and VA-waiting heads
   // (channel-blocked) can anchor a deadlock; for the latter the chain is
   // resolved through the local holder of the wanted output VC. Only input
-  // VCs in the work set can hold buffered flits.
-  for (std::uint32_t m = in_work_; m != 0; m &= m - 1) {
+  // VCs in the work set can hold buffered flits, and none may probe while
+  // the agent is recovering, waiting on a live probe or backing off.
+  const std::uint32_t rule1 = agent_.may_probe(now) ? in_work_ : 0;
+  for (std::uint32_t m = rule1; m != 0; m &= m - 1) {
     const int g = std::countr_zero(m);
     auto& vc = inputs_[static_cast<std::size_t>(g)];
     if (vc.buf.empty()) continue;
@@ -1773,6 +1752,12 @@ void Router::check_local_invariants(Cycle now) {
                      " waiter=" + std::to_string(out.has_waiter) + " rtx=" +
                      std::to_string(rtx ? rtx->occupancy() : 0) + ")");
     }
+    if (out.allocated != (((alloc_ogs_ >> g) & 1u) != 0)) {
+      mon_->fail(InvariantId::kWorkMaskAgreement, now, id_, p, v,
+                 "alloc_ogs_ bit for output gid " + std::to_string(g) +
+                     (out.allocated ? " clear" : " set") +
+                     " but allocated=" + std::to_string(out.allocated));
+    }
   }
   if (occ != tx_occ_) {
     mon_->fail(InvariantId::kOccupancyCounter, now, id_, -1, -1,
@@ -1971,7 +1956,7 @@ std::uint64_t Router::state_digest() const {
       h.mix_flit(staged_[p]->stored);
       h.mix(static_cast<std::uint64_t>(staged_[p]->vc));
     }
-    h.mix(link_dead_[p]);
+    h.mix(mask_has(dead_ports_, p));
     h.mix((draining_ & port_bit(p)) != 0);
     h.mix(static_cast<std::uint64_t>(uncorrectable_streak_[p]));
     h.mix(static_cast<std::uint64_t>(sa_in_arbs_.at(p).last_grant()));

@@ -22,6 +22,7 @@
 // sequential update order of routers within a cycle is unobservable.
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -97,15 +98,18 @@ class Router final : public RouterIface {
 
   // --- Invariant monitor hooks (DESIGN.md §4.8) ---------------------------
   void set_monitor(InvariantMonitor* mon) override { mon_ = mon; }
-  /// Recomputes the PR 3 derived state (work masks, tx_occ_,
-  /// staged_count_) from scratch and reports any disagreement.
+  /// Recomputes the derived state (work masks, alloc_ogs_, tx_occ_,
+  /// staged_count_, barrel summaries) from scratch and reports any
+  /// disagreement.
   void check_local_invariants(Cycle now) override;
   long long live_flit_count() const override;
   int held_credits(PortId p, VcId v) const override;
   int credit_budget(PortId p, VcId v) const override;
 
   // --- Permanent-fault escalation (DESIGN.md §4.9) ------------------------
-  bool link_failed(PortId p) const override { return link_dead_[p]; }
+  bool link_failed(PortId p) const override {
+    return mask_has(dead_ports_, p);
+  }
   std::uint8_t take_escalation_requests() override {
     const std::uint8_t r = escalation_requests_;
     escalation_requests_ = 0;
@@ -215,7 +219,8 @@ class Router final : public RouterIface {
 
   // --- Work lists --------------------------------------------------------
   // One bit per (port, VC) gid; P*V <= 30 so a 32-bit mask covers both
-  // sides. A clear input bit proves the VC is empty and idle-routing; a
+  // sides (static_asserted below through kMaxVcs, which config validation
+  // enforces). A clear input bit proves the VC is empty and idle-routing; a
   // clear output bit proves the VC is unallocated, waiterless and has an
   // empty retransmission barrel. Every phase iterates set bits in
   // ascending gid order — the same order as the full scans they replace —
@@ -225,6 +230,8 @@ class Router final : public RouterIface {
     const bool busy = !vc.buf.empty() || vc.state != VcState::kRouting;
     in_work_ = busy ? (in_work_ | (1u << g)) : (in_work_ & ~(1u << g));
   }
+  static_assert(kNumDirections * kMaxVcs <= 32,
+                "gid masks are 32-bit: raise kMaxVcs only with wider masks");
   void update_output_work(int og) {
     const OutputVc& out = outputs_[static_cast<std::size_t>(og)];
     const auto& rtx = out_rtx_[static_cast<std::size_t>(og)];
@@ -233,14 +240,30 @@ class Router final : public RouterIface {
     out_work_ = busy ? (out_work_ | (1u << og)) : (out_work_ & ~(1u << og));
   }
 
-  bool port_has_neighbor(PortId p) const;
-  /// Neighbour exists and the link is not hard-failed.
-  bool port_usable(PortId p) const;
-  /// Usable and not draining toward escalation: the gate for *new*
-  /// commitments (VA requests, deadlock waiters, RT-fault misdirections).
-  /// In-flight wormholes keep using a draining port until their tail.
+  /// Link ports with a neighbour, not hard-failed and not draining toward
+  /// escalation: the gate for *new* commitments (VA requests, deadlock
+  /// waiters, RT-fault misdirections). In-flight wormholes keep using a
+  /// draining port until their tail.
+  PortMask allocatable_ports() const {
+    return nbr_ports_ & ~(dead_ports_ | draining_);
+  }
   bool port_allocatable(PortId p) const {
-    return port_usable(p) && (draining_ & port_bit(p)) == 0;
+    return mask_has(allocatable_ports(), p);
+  }
+  /// Every gid of every port in `ports`. VC 0's gids are V bits apart, so
+  /// multiplying them by V ones fills each port's block without carries.
+  std::uint32_t port_gids(unsigned ports) const {
+    std::uint32_t vc0 = 0;
+    for (; ports != 0; ports &= ports - 1) {
+      vc0 |= 1u << gid(static_cast<PortId>(std::countr_zero(ports)), 0);
+    }
+    return vc0 * ((1u << num_vcs_) - 1u);
+  }
+  /// Sets output gid `og`'s `allocated` flag and its alloc_ogs_ bit — the
+  /// only writer of either, so the mask cannot drift from the flags.
+  void set_allocated(int og, bool on) {
+    outputs_[static_cast<std::size_t>(og)].allocated = on;
+    alloc_ogs_ = on ? (alloc_ogs_ | (1u << og)) : (alloc_ogs_ & ~(1u << og));
   }
   /// Under damq, whether output VC (`p`, `v`) can source a credit for one
   /// more flit: a free reserved credit or a free slot in the port's shared
@@ -291,13 +314,9 @@ class Router final : public RouterIface {
   void flush_outbox();
   void charge(power::EnergyEvent e, std::uint64_t times = 1);
 
-  // Input-side VA request: the (port, vc) this input VC asks for, if any.
-  // `in_port`/`in_vc` identify the requesting input VC (escape-VC policy
-  // depends on how the packet arrived).
-  std::optional<std::pair<PortId, VcId>> pick_va_request(InputVc& vc,
-                                                         PortId in_port,
-                                                         VcId in_vc,
-                                                         int rotation);
+  // Input-side VA request: the output gid input gid `g` asks for, or -1.
+  // Escape-VC policy depends on how the packet arrived (`g`'s port and VC).
+  int pick_va_request(const InputVc& vc, int g, int rotation) const;
 
   // RT fault handling; returns the (possibly corrupted) candidate mask and
   // applies stalls/penalties for emulated downstream detection.
@@ -320,6 +339,8 @@ class Router final : public RouterIface {
   bool f_sa_live_ = false;
   bool f_rtx_live_ = false;
   bool f_hs_live_ = false;
+  /// Link ports with a geometric neighbour (from the topology table).
+  PortMask nbr_ports_ = 0;
   power::EnergyMeter* meter_;
   StatsCollector* stats_;
   EjectFn eject_;
@@ -367,7 +388,7 @@ class Router final : public RouterIface {
   std::vector<int> va_rotation_;  // per input gid: rotating VC preference
 
   std::array<bool, kNumDirections> port_busy_{};     // per-cycle ST usage
-  std::array<bool, kNumDirections> link_dead_{};     // hard faults (4.2)
+  PortMask dead_ports_ = 0;  // hard faults (4.2)
 
   // --- Runtime link escalation (§4.9) -------------------------------------
   /// Ports draining toward hard-failure: no new allocations; once the
@@ -415,8 +436,13 @@ class Router final : public RouterIface {
   // --- Hot-path scratch and work masks -----------------------------------
   std::uint32_t in_work_ = 0;   ///< Input VCs with buffered flits or state.
   std::uint32_t out_work_ = 0;  ///< Output VCs allocated/waited/occupied.
+  /// Output gids whose `allocated` is set (written only by set_allocated).
+  /// VA masks it out of the free options and chain resolution takes the
+  /// held VC from it, so a blocked VC costs a few bit operations.
+  std::uint32_t alloc_ogs_ = 0;
+  /// VC 0's gid on every port; `vc0_gids_ << v` selects VC v everywhere.
+  std::uint32_t vc0_gids_ = 0;
   std::vector<std::uint32_t> va_reqs_;  // per output gid: requesting inputs
-  std::vector<std::pair<PortId, VcId>> va_want_;  // per input gid: request
   std::uint32_t va_req_ogs_ = 0;  ///< Output gids with requests this cycle.
   std::uint32_t absorbed_ = 0;    ///< Output gids absorbed-into this cycle.
   int tx_occ_ = 0;  ///< Running sum of input-buffer occupancy (sampling).

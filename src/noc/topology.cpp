@@ -10,6 +10,30 @@ Topology::Topology(int width, int height, bool torus)
     : width_(width), height_(height), torus_(torus) {
   FTNOC_CHECK(width >= 1 && height >= 1);
   FTNOC_CHECK(width * height >= 2);
+  FTNOC_CHECK(width * height < kInvalidNode);
+  const int n = width * height;
+  nbr_.assign(static_cast<std::size_t>(n) * 4, kInvalidNode);
+  for (int i = 0; i < n; ++i) {
+    const Coord here = coord_of(static_cast<NodeId>(i));
+    for (int p = 0; p < 4; ++p) {
+      Coord c = here;
+      switch (static_cast<Direction>(p)) {
+        // Row 0 is the top of the mesh: north decreases y.
+        case Direction::kNorth: c.y -= 1; break;
+        case Direction::kSouth: c.y += 1; break;
+        case Direction::kEast: c.x += 1; break;
+        case Direction::kWest: c.x -= 1; break;
+        case Direction::kLocal: break;
+      }
+      if (!contains(c)) {
+        if (!torus_) continue;
+        c.x = (c.x + width_) % width_;
+        c.y = (c.y + height_) % height_;
+      }
+      nbr_[static_cast<std::size_t>(i) * 4 + static_cast<std::size_t>(p)] =
+          node_at(c);
+    }
+  }
 }
 
 Coord Topology::coord_of(NodeId n) const {
@@ -24,24 +48,6 @@ NodeId Topology::node_at(Coord c) const {
 
 bool Topology::contains(Coord c) const {
   return c.x >= 0 && c.x < width_ && c.y >= 0 && c.y < height_;
-}
-
-std::optional<NodeId> Topology::neighbor(NodeId n, Direction d) const {
-  Coord c = coord_of(n);
-  switch (d) {
-    // Row 0 is the top of the mesh: north decreases y.
-    case Direction::kNorth: c.y -= 1; break;
-    case Direction::kSouth: c.y += 1; break;
-    case Direction::kEast: c.x += 1; break;
-    case Direction::kWest: c.x -= 1; break;
-    case Direction::kLocal: return std::nullopt;
-  }
-  if (!contains(c)) {
-    if (!torus_) return std::nullopt;
-    c.x = (c.x + width_) % width_;
-    c.y = (c.y + height_) % height_;
-  }
-  return node_at(c);
 }
 
 bool Topology::dead_port(NodeId n, Direction d) const {

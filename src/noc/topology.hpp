@@ -4,6 +4,11 @@
 // exists because the tornado pattern (borrowed from torus studies) and the
 // ablation benches benefit from it.
 //
+// Neighbours come from a node x 4 table built once in the constructor, so
+// neighbor()/has_neighbor() are one load on the router and kernel hot paths
+// (the table is the only geometric-neighbour copy; Network and Router read
+// it rather than keeping their own).
+//
 // The topology also carries the permanent-fault state of the fabric: a
 // link/router fault mask (static dead_links/dead_routers, plus links the
 // network escalates at runtime after repeated uncorrectable errors) and a
@@ -15,6 +20,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 
 namespace ftnoc {
@@ -34,12 +40,18 @@ class Topology {
 
   /// The neighbour reached by leaving `n` through `d`, or nullopt at a mesh
   /// edge. kLocal never has a neighbour. Ignores the fault mask (the
-  /// physical channel still exists; it just must not be used).
-  std::optional<NodeId> neighbor(NodeId n, Direction d) const;
+  /// physical channel still exists; it just must not be used). A one-row
+  /// or one-column torus wraps onto itself: its N/S (or E/W) neighbour is
+  /// `n`.
+  std::optional<NodeId> neighbor(NodeId n, Direction d) const {
+    const NodeId nb = nbr_raw(n, d);
+    if (nb == kInvalidNode) return std::nullopt;
+    return nb;
+  }
 
   /// True if `d` is a usable network direction at node `n`.
   bool has_neighbor(NodeId n, Direction d) const {
-    return neighbor(n, d).has_value();
+    return nbr_raw(n, d) != kInvalidNode;
   }
 
   // --- Permanent-fault mask -----------------------------------------------
@@ -84,12 +96,22 @@ class Topology {
   /// golden digest pins.
   void ensure_row(NodeId dest) const;
   bool dead_port(NodeId n, Direction d) const;
+  /// Table read; kInvalidNode at a mesh edge and for kLocal.
+  NodeId nbr_raw(NodeId n, Direction d) const {
+    FTNOC_DCHECK(n < num_nodes());
+    if (d == Direction::kLocal) return kInvalidNode;
+    return nbr_[static_cast<std::size_t>(n) * 4 + static_cast<std::size_t>(d)];
+  }
 
   int width_;
   int height_;
   bool torus_;
   bool has_faults_ = false;
   std::uint32_t epoch_ = 0;
+  /// nbr_[n * 4 + d]: the geometric neighbour of `n` through `d`, or
+  /// kInvalidNode at a mesh edge. Fixed at construction (link death does
+  /// not move geometry).
+  std::vector<NodeId> nbr_;
   std::vector<std::uint8_t> dead_ports_;    ///< Per node, bit per direction.
   std::vector<std::uint8_t> dead_routers_;  ///< Per node.
   /// dist_[dest * num_nodes + cur]; allocated on the first fault, each row

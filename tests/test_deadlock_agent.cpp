@@ -32,6 +32,50 @@ TEST(DeadlockAgent, BackoffBetweenProbes) {
   EXPECT_TRUE(a.should_probe(20, 108));
 }
 
+// should_probe() is defined as the threshold test plus may_probe(), the
+// per-router gate phase_deadlock checks once per cycle. Walk one agent
+// through its five probe states and check the identity on both sides of
+// every boundary: threshold, probe timeout, backoff window.
+TEST(DeadlockAgent, ShouldProbeIsThresholdAndMayProbe) {
+  constexpr Cycle kThreshold = 10;
+  constexpr Cycle kBackoff = 8;
+  constexpr Cycle kTimeout = 16;
+  DeadlockAgent a(5, kThreshold, kBackoff, kTimeout);
+  auto check = [&](const char* state, std::initializer_list<Cycle> nows,
+                   bool expect_may) {
+    for (const Cycle now : nows) {
+      EXPECT_EQ(a.may_probe(now), expect_may) << state << " now=" << now;
+      for (const Cycle b : {Cycle{0}, kThreshold - 1, kThreshold,
+                            kThreshold + 1, Cycle{1000}}) {
+        EXPECT_EQ(a.should_probe(b, now), b > kThreshold && a.may_probe(now))
+            << state << " blocked=" << b << " now=" << now;
+      }
+    }
+  };
+  // Fresh: never probed, so no backoff applies even at cycle 0.
+  check("fresh", {0, 1, 100}, true);
+
+  // Outstanding probe minted at 100: live through 100 + timeout.
+  const ProbeSignal p = a.make_probe(0, 0, 100);
+  check("outstanding", {100, 101, 100 + kTimeout - 1, 100 + kTimeout},
+        false);
+  // Timed out: the next cycle past the timeout may probe again (the
+  // backoff window, 8 < 16, has long passed).
+  check("timed out", {100 + kTimeout + 1, 100 + kTimeout + 50}, true);
+
+  // Backoff: the probe returned (confirmed); the backoff counts from the
+  // mint cycle, not the return.
+  ASSERT_TRUE(a.on_probe_returned(p));
+  a.exit_recovery();
+  check("backoff", {100, 100 + kBackoff - 1}, false);
+  check("after backoff", {100 + kBackoff, 100 + kBackoff + 1, 500}, true);
+
+  // Recovering: no probe at any time.
+  a.enter_recovery();
+  check("recovering", {0, 100 + kBackoff, 100 + kTimeout + 1, 10'000},
+        false);
+}
+
 TEST(DeadlockAgent, ProbeIdsAreUnique) {
   DeadlockAgent a(5, 1, 0);
   const ProbeSignal p1 = a.make_probe(0, 0, 10);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "common/config.hpp"
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
 
@@ -52,6 +55,70 @@ TEST(Topology, NeighborIsSymmetric) {
       const auto dir = static_cast<Direction>(d);
       if (auto nb = t.neighbor(n, dir)) {
         EXPECT_EQ(t.neighbor(*nb, opposite(dir)), n);
+      }
+    }
+  }
+}
+
+// The constructor-built neighbour table against two independent
+// derivations: index arithmetic on the flat node id, and config.cpp's
+// mesh_neighbor (which validation's reachability precheck uses). The
+// one-row tori wrap N/S onto the node itself and, at width 2, E/W onto
+// the same neighbour; the table must keep those self-loops exactly.
+TEST(Topology, NeighborTableMatchesCoordinateArithmetic) {
+  struct Shape {
+    int w;
+    int h;
+    bool torus;
+  };
+  for (const Shape s : {Shape{2, 1, true}, Shape{3, 1, true},
+                        Shape{4, 1, true}, Shape{8, 8, false},
+                        Shape{8, 8, true}, Shape{32, 32, false},
+                        Shape{32, 32, true}}) {
+    const Topology t(s.w, s.h, s.torus);
+    SimConfig cfg;
+    cfg.mesh_width = s.w;
+    cfg.mesh_height = s.h;
+    cfg.torus = s.torus;
+    const int n_nodes = s.w * s.h;
+    for (int n = 0; n < n_nodes; ++n) {
+      const int x = n % s.w;
+      const int y = n / s.w;
+      for (int d = 0; d < kNumDirections; ++d) {
+        const auto dir = static_cast<Direction>(d);
+        std::optional<int> want;
+        switch (dir) {
+          case Direction::kNorth:
+            if (y > 0) want = n - s.w;
+            else if (s.torus) want = n + (s.h - 1) * s.w;
+            break;
+          case Direction::kSouth:
+            if (y < s.h - 1) want = n + s.w;
+            else if (s.torus) want = n - (s.h - 1) * s.w;
+            break;
+          case Direction::kEast:
+            if (x < s.w - 1) want = n + 1;
+            else if (s.torus) want = n - (s.w - 1);
+            break;
+          case Direction::kWest:
+            if (x > 0) want = n - 1;
+            else if (s.torus) want = n + (s.w - 1);
+            break;
+          case Direction::kLocal: break;
+        }
+        const auto got = t.neighbor(static_cast<NodeId>(n), dir);
+        const std::string where = std::to_string(s.w) + "x" +
+                                  std::to_string(s.h) +
+                                  (s.torus ? " torus" : " mesh") + " node " +
+                                  std::to_string(n) + " " + to_string(dir);
+        ASSERT_EQ(got.has_value(), want.has_value()) << where;
+        EXPECT_EQ(t.has_neighbor(static_cast<NodeId>(n), dir),
+                  want.has_value())
+            << where;
+        EXPECT_EQ(mesh_neighbor(cfg, n, dir), want.value_or(-1)) << where;
+        if (want) {
+          EXPECT_EQ(*got, *want) << where;
+        }
       }
     }
   }
