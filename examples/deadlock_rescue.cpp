@@ -62,7 +62,7 @@ int main() {
     if (!r.completed) {
       int blocked = 0;
       for (ftnoc::NodeId n = 0; n < 4; ++n) {
-        if (sim.network().router(n).tx_buffer_occupancy() > 0) ++blocked;
+        if (sim.network().router_base(n).tx_buffer_occupancy() > 0) ++blocked;
       }
       std::printf("               %d/4 routers left holding stuck flits\n",
                   blocked);
@@ -90,7 +90,7 @@ int main() {
       if (recovered_at == 0 && detected_at != 0) {
         bool any = false;
         for (ftnoc::NodeId n = 0; n < 4; ++n) {
-          any = any || net.router(n).in_recovery();
+          any = any || net.router_base(n).in_recovery();
         }
         if (!any && net.stats().recoveries_entered() > 0) {
           recovered_at = net.now();

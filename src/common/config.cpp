@@ -458,8 +458,6 @@ std::optional<std::string> apply_override(SimConfig& cfg,
     if (!parse_bool(val, cfg.adaptive_faults)) return bad();
   } else if (key == "check_invariants") {
     if (!parse_bool(val, cfg.check_invariants)) return bad();
-  } else if (key == "reference_router") {
-    if (!parse_bool(val, cfg.use_reference_router)) return bad();
   } else if (key == "test_mutation") {
     const auto m = parse_test_mutation(val);
     if (!m) return bad();

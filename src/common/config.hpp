@@ -62,9 +62,10 @@ enum class BufferPolicyKind : std::uint8_t {
   kVoq,
 };
 
-/// A deliberately planted bug for the differential fuzz harness's
-/// self-test (tools/ftnoc_fuzz.cpp), applied to the optimized router only.
-/// Each one proves the harness detects a class of divergence end to end.
+/// A deliberately planted router bug. Each one proves a check catches a
+/// class of defect end to end: the fuzz harness's self-tests
+/// (tools/ftnoc_fuzz.cpp) for the invariant-visible ones, a scripted unit
+/// test for `drop_window` (DESIGN.md §4.8).
 enum class TestMutation : std::uint8_t {
   kNone,
   /// "drop_window": reverts the 4-stage HBH drop window to the pre-fix
@@ -249,18 +250,13 @@ struct SimConfig {
   /// build with FTNOC_ENABLE_INVARIANTS (the default); a violation logs a
   /// structured diagnostic and aborts.
   bool check_invariants = false;
-  /// Build the network out of ReferenceRouter instances (the deliberately
-  /// simple, allocation-happy model) instead of the optimized Router. Used
-  /// by the differential fuzz harness; behaviour must be bit-identical.
-  bool use_reference_router = false;
-  /// Planted bug applied to the *optimized* router only (override
-  /// "test_mutation=NAME" with NAME "none", "drop_window",
+  /// Planted router bug the fuzz self-tests and unit tests must catch
+  /// (override "test_mutation=NAME" with NAME "none", "drop_window",
   /// "damq_credit_leak", "route_into_dead_link" or "strand_waiter").
   TestMutation test_mutation = TestMutation::kNone;
   /// Force the per-cycle full router scan instead of the event-queue
   /// kernel (DESIGN.md §4.10). The two are byte-identical by contract;
   /// the override exists for determinism tests and A/B perf comparison.
-  /// Reference-router networks always scan regardless of this flag.
   bool force_scan_kernel = false;
 
   // --- Run control ---

@@ -16,17 +16,38 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
+  // The per-flit draws (next_u64, next_double, bernoulli) are defined
+  // here so they inline at every call site at compile time instead of
+  // depending on LTO's unit-growth budget, which shrinks whenever code is
+  // deleted elsewhere.
+
   /// Uniform 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). bound must be > 0.
   std::uint64_t next_below(std::uint64_t bound);
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
-  bool bernoulli(double p);
+  bool bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// Derive an independent child generator (for per-component streams).
   Rng fork();
@@ -38,6 +59,9 @@ class Rng {
   static std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
   std::uint64_t s_[4];
 };
 

@@ -22,6 +22,7 @@ const char* to_string(InvariantId id) {
     case InvariantId::kSharedPoolConservation:
       return "shared-pool-conservation";
     case InvariantId::kMisrouteBound: return "misroute-bound";
+    case InvariantId::kDeadPortCommitment: return "dead-port-commitment";
   }
   return "?";
 }

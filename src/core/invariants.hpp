@@ -40,7 +40,9 @@
 //  * Eq. (1) — re-evaluated with the engaging router's actual buffer
 //    sizes whenever recovery engages;
 //  * dead-link traversal — once a router reports a port hard-dead (§4.9),
-//    the outgoing link wire never again carries a flit.
+//    the outgoing link wire never again carries a flit;
+//  * dead-port commitment — no waiting head and no pure-reservation
+//    deadlock waiter is bound to a dead or draining port.
 
 #include <cstdint>
 #include <string>
@@ -94,6 +96,12 @@ enum class InvariantId : std::uint8_t {
   /// bounded by (detours + 1) * diameter; a packet exceeding the bound is
   /// livelocking on the misroute path.
   kMisrouteBound,
+  /// No new commitment toward a dead or draining port (DESIGN.md §4.9):
+  /// no kVaWait candidate set names one (skipped under RT upsets, which
+  /// legitimately corrupt candidate sets), and no registered deadlock
+  /// waiter with zero absorbed flits sits on an output VC toward one —
+  /// begin_link_drain() must re-home both.
+  kDeadPortCommitment,
 };
 
 const char* to_string(InvariantId id);

@@ -1,9 +1,15 @@
 #pragma once
-// FNV-1a state-digest mixer shared by Router::state_digest() and
-// ReferenceRouter::state_digest(). Both implementations traverse their
-// architectural state in the same fixed order and feed it through these
-// leaf encoders, so equal state always hashes equal — the property the
-// differential fuzz harness's lock-step comparison rests on.
+// State-digest mixer behind Router::state_digest() and
+// Network::state_digest(). State is traversed in a fixed order and fed
+// through these leaf encoders, so equal state always hashes equal — the
+// property scan/event lockstep and the pinned trajectories rest on.
+//
+// mix() folds one 64-bit word per step: xor, multiply by an odd constant,
+// xor-shift. Each of the three is a bijection, so two traversals that
+// differ in a single word can never collide. One dependent multiply per
+// word (not eight, as byte-wise FNV-1a needs) keeps a whole network's
+// digest cheap enough for the fuzz harness to compare two networks every
+// cycle.
 
 #include <cstdint>
 
@@ -12,15 +18,13 @@
 
 namespace ftnoc::digest {
 
-class Fnv {
+class Mixer {
  public:
   std::uint64_t value() const { return h_; }
 
   void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (i * 8)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
+    h_ = (h_ ^ v) * 0x9e3779b97f4a7c15ull;
+    h_ ^= h_ >> 29;
   }
 
   void mix_flit(const Flit& f) {

@@ -7,14 +7,13 @@
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "noc/digest.hpp"
-#include "noc/reference_router.hpp"
 #include "noc/workload.hpp"
 
 namespace ftnoc {
 namespace {
 constexpr PortId kLocalPort = static_cast<PortId>(Direction::kLocal);
 
-void mix_wire(digest::Fnv& h, const Wire& w) {
+void mix_wire(digest::Mixer& h, const Wire& w) {
   h.mix(w.flit.peek().has_value());
   if (w.flit.peek()) h.mix_flit(*w.flit.peek());
   const auto& credits = w.credit.peek();
@@ -154,7 +153,7 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
 }
 
 std::uint64_t ProcessingElement::state_digest() const {
-  digest::Fnv h;
+  digest::Mixer h;
   h.mix(static_cast<std::uint64_t>(self_));
   h.mix(static_cast<std::uint64_t>(send_rotation_));
   h.mix(lanes_.size());
@@ -173,7 +172,7 @@ std::uint64_t ProcessingElement::state_digest() const {
   h.mix(e2e_buffer_.size());
   std::uint64_t sum = 0;
   for (const auto& [pid, flits] : e2e_buffer_) {
-    digest::Fnv e;
+    digest::Mixer e;
     e.mix(pid);
     e.mix(flits.size());
     for (const Flit& f : flits) e.mix_flit(f);
@@ -201,13 +200,8 @@ Network::Network(const SimConfig& cfg)
 
   routers_.reserve(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
-    if (cfg_.use_reference_router) {
-      routers_.push_back(std::make_unique<ReferenceRouter>(
-          i, cfg_, topo_, &faults_, &meter_, &stats_));
-    } else {
-      routers_.push_back(std::make_unique<Router>(i, cfg_, topo_, &faults_,
-                                                  &meter_, &stats_));
-    }
+    routers_.push_back(std::make_unique<Router>(i, cfg_, topo_, &faults_,
+                                                &meter_, &stats_));
   }
 
   if (cfg_.check_invariants) {
@@ -283,9 +277,8 @@ Network::Network(const SimConfig& cfg)
     topo_.fail_router(node);
   }
 
-  // Kernel selection (DESIGN.md §4.10). The reference model keeps no wake
-  // bookkeeping, so reference networks always run the full scan.
-  scan_kernel_ = cfg_.use_reference_router || cfg_.force_scan_kernel;
+  // Kernel selection (DESIGN.md §4.10).
+  scan_kernel_ = cfg_.force_scan_kernel;
   if (!scan_kernel_) {
     const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
     for (auto& slot : wheel_) slot.assign(words, 0);
@@ -293,11 +286,6 @@ Network::Network(const SimConfig& cfg)
     live_wire_mask_.assign((nwires + 63) / 64, 0);
     tx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
     rtx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
-    // Devirtualized router view for the hot pop/wake loop.
-    fast_routers_.resize(static_cast<std::size_t>(n));
-    for (NodeId i = 0; i < n; ++i) {
-      fast_routers_[i] = static_cast<Router*>(routers_[i].get());
-    }
     // Everybody gets one initial step at cycle 0; routers that stay
     // quiescent simply never re-arm (a dead node's router among them).
     auto& slot0 = wheel_[0];
@@ -637,7 +625,7 @@ void Network::step_event() {
   for (NodeId i = 0; i < static_cast<NodeId>(pes_.size()); ++i) {
     if (!topo_.router_alive(i)) continue;  // Dead node: PE is off.
     if (pes_[i]->step(now_, next_packet_id_,
-                      recovery_line_ || fast_routers_[i]->in_recovery())) {
+                      recovery_line_ || routers_[i]->in_recovery())) {
       // The PE drove the injection wire: the router consumes next cycle.
       schedule(i, now_ + 1);
       mark_wire_live(local_wire_id(i));
@@ -665,7 +653,7 @@ void Network::step_event() {
       const auto i = static_cast<NodeId>(
           (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
       bits &= bits - 1;
-      Router* const r = fast_routers_[i];
+      Router* const r = routers_[i].get();
       r->step(now_);
       stepped_.push_back(i);
 
@@ -724,7 +712,7 @@ void Network::step_event() {
   // both endpoints back on the schedule until their drains complete.
   if (cfg_.faults.link_escalation_threshold > 0) {
     for (const NodeId i : stepped_) {
-      const std::uint8_t reqs = fast_routers_[i]->take_escalation_requests();
+      const std::uint8_t reqs = routers_[i]->take_escalation_requests();
       if (reqs == 0) continue;
       for (int d = 0; d < 4; ++d) {
         if ((reqs & (1u << d)) == 0) continue;
@@ -760,7 +748,7 @@ void Network::step_event() {
   recovery_line_ = false;
   if (cfg_.deadlock.enable_recovery) {
     for (const NodeId i : stepped_) {
-      if (fast_routers_[i]->in_recovery()) {
+      if (routers_[i]->in_recovery()) {
         recovery_line_ = true;
         break;
       }
@@ -785,18 +773,8 @@ void Network::step_event() {
   ++now_;
 }
 
-Router& Network::router(NodeId n) {
-  FTNOC_CHECK(!cfg_.use_reference_router);
-  return static_cast<Router&>(*routers_.at(n));
-}
-
-const Router& Network::router(NodeId n) const {
-  FTNOC_CHECK(!cfg_.use_reference_router);
-  return static_cast<const Router&>(*routers_.at(n));
-}
-
 std::uint64_t Network::state_digest() const {
-  digest::Fnv h;
+  digest::Mixer h;
   h.mix(static_cast<std::uint64_t>(now_));
   h.mix(next_packet_id_);
   h.mix(recovery_line_);
@@ -818,7 +796,7 @@ std::uint64_t Network::state_digest() const {
     h.mix(m.size());
     std::uint64_t sum = 0;
     for (const auto& [pid, rec] : m) {
-      digest::Fnv e;
+      digest::Mixer e;
       e.mix(pid);
       e.mix(rec.bad);
       e.mix(static_cast<std::uint64_t>(rec.flits));
@@ -881,11 +859,10 @@ void Network::run_invariant_walks() {
         }
         total += routers_[*nb]->input_buffer_size(back, v);
         // Under damq the per-VC budget is elastic: K reserved plus however
-        // many shared slots the sender currently holds for this VC. The
-        // router reports it; -1 means "nominal depth" (RouterIface default).
-        int budget = routers_[i]->credit_budget(static_cast<PortId>(d), v);
-        if (budget < 0) budget = cfg_.vc_buffer_depth;
-        monitor_->check_credit_sum(now_, i, d, v, total, budget);
+        // many shared slots the sender currently holds for this VC.
+        monitor_->check_credit_sum(
+            now_, i, d, v, total,
+            routers_[i]->credit_budget(static_cast<PortId>(d), v));
       }
     }
     // The PE -> router injection link: the sender-side counter is the PE

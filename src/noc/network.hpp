@@ -21,11 +21,11 @@
 #include "core/flit.hpp"
 #include "core/invariants.hpp"
 #include "noc/router.hpp"
-#include "noc/router_iface.hpp"
 #include "noc/stats.hpp"
 #include "noc/topology.hpp"
 #include "noc/trace.hpp"
 #include "noc/traffic.hpp"
+#include "noc/wire.hpp"
 #include "power/energy_model.hpp"
 
 namespace ftnoc {
@@ -65,7 +65,7 @@ class ProcessingElement {
   /// Free injection credits of one local-VC lane (credit-conservation walk).
   int lane_credits(VcId v) const { return lanes_.at(v).credits; }
 
-  /// Architectural-state hash (lock-step differential comparison).
+  /// Architectural-state hash (scan/event lockstep comparison).
   std::uint64_t state_digest() const;
 
  private:
@@ -110,21 +110,17 @@ class Network {
   power::EnergyMeter& meter() { return meter_; }
   FaultInjector& faults() { return faults_; }
 
-  /// The concrete optimized router (tests poking kernel internals). Only
-  /// legal when the network was not built with `use_reference_router`.
-  Router& router(NodeId n);
-  const Router& router(NodeId n) const;
-  /// Implementation-agnostic view (fuzz harness, generic instrumentation).
-  RouterIface& router_base(NodeId n) { return *routers_.at(n); }
-  const RouterIface& router_base(NodeId n) const { return *routers_.at(n); }
+  /// Router `n` (instrumentation, tests poking kernel internals).
+  Router& router_base(NodeId n) { return *routers_.at(n); }
+  const Router& router_base(NodeId n) const { return *routers_.at(n); }
   ProcessingElement& pe(NodeId n) { return *pes_.at(n); }
 
   /// Null unless the config asked for invariant checking (and the hooks
   /// were compiled in).
   InvariantMonitor* monitor() { return monitor_.get(); }
 
-  /// Architectural-state hash over routers, wires and PEs — the lock-step
-  /// comparison point of the differential fuzz harness.
+  /// Architectural-state hash over routers, wires and PEs — the per-cycle
+  /// comparison point of scan/event lockstep and the pinned trajectories.
   std::uint64_t state_digest() const;
 
   /// Builds and queues a packet for injection at `src` (tests/examples).
@@ -179,13 +175,12 @@ class Network {
 
   // --- Event-queue kernel (DESIGN.md §4.10) -------------------------------
   /// The classic kernel: step every live PE, every router and tick every
-  /// wire each cycle. Always used for reference-router networks and under
-  /// the `kernel=scan` override.
+  /// wire each cycle. Used under the `kernel=scan` override.
   void step_scan();
   /// The event kernel: routers are stepped only when scheduled (wire
   /// traffic written toward them last cycle, a self-requested re-tick, or
   /// an exact timer); only live wires are ticked. Byte-identical to
-  /// step_scan() — the golden digests and the differential fuzzer pin it.
+  /// step_scan() — the golden digests and the fuzz harness pin it.
   void step_event();
   /// Schedules router `n` to be stepped at cycle `due` (> now_). Within
   /// the wheel horizon this sets a bit in the due slot's node mask;
@@ -230,7 +225,7 @@ class Network {
   Cycle now_ = 0;
   PacketId next_packet_id_ = 1;
 
-  std::vector<std::unique_ptr<RouterIface>> routers_;
+  std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<ProcessingElement>> pes_;
   std::unique_ptr<InvariantMonitor> monitor_;
   // Directed inter-router wires: index = node * 4 + direction.
@@ -269,12 +264,9 @@ class Network {
   bool recovery_line_ = false;
 
   // --- Event-queue kernel state -------------------------------------------
-  /// True when this network runs the per-cycle full scan (reference
-  /// routers, or the `kernel=scan` override).
+  /// True when this network runs the per-cycle full scan (the
+  /// `kernel=scan` override).
   bool scan_kernel_ = false;
-  /// Devirtualized view of routers_ for the event kernel's hot loop
-  /// (only populated for optimized-router networks).
-  std::vector<Router*> fast_routers_;
   static constexpr std::size_t kWheelSize = 256;  // Power of two.
   /// Bucket wheel: slot (cycle & 255) holds a node bitmask of routers due
   /// that cycle. Spurious entries are harmless (a quiescent step is a

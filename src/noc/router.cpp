@@ -1806,6 +1806,40 @@ void Router::check_local_invariants(Cycle now) {
                    std::to_string(rtx_pending_mask_) + " vs " +
                    std::to_string(pend_m) + ")");
   }
+  // No new commitment toward a dead or draining port: begin_link_drain()
+  // strips such ports from waiting heads and cancels waiters none of whose
+  // flits were absorbed, and phase_rt routes fault-aware. An RT upset
+  // legitimately hands a head a corrupted candidate set, so the head check
+  // only holds without one.
+  const PortMask gone = dead_ports_ | draining_;
+  if (gone != 0) {
+    if (!f_rt_live_) {
+      for (int g = 0; g < pv; ++g) {
+        const auto& in = inputs_[static_cast<std::size_t>(g)];
+        if (in.state != VcState::kVaWait || (in.candidates & gone) == 0) {
+          continue;
+        }
+        mon_->fail(InvariantId::kDeadPortCommitment, now, id_, g / num_vcs_,
+                   g % num_vcs_,
+                   "waiting head's candidate set " +
+                       std::to_string(in.candidates) +
+                       " names a dead or draining port (mask " +
+                       std::to_string(gone) + ")");
+      }
+    }
+    for (std::uint32_t m = port_gids(gone); m != 0; m &= m - 1) {
+      const int og = std::countr_zero(m);
+      const auto& out = outputs_[static_cast<std::size_t>(og)];
+      const auto& rtx = out_rtx_[static_cast<std::size_t>(og)];
+      if (!out.has_waiter || (rtx && rtx->contains_packet(out.waiter_pid))) {
+        continue;
+      }
+      mon_->fail(InvariantId::kDeadPortCommitment, now, id_, og / num_vcs_,
+                 og % num_vcs_,
+                 "deadlock waiter (packet " + std::to_string(out.waiter_pid) +
+                     ") with no absorbed flits on a dead or draining port");
+    }
+  }
   int staged = 0;
   for (PortId p = 0; p < num_ports_; ++p) {
     if (!staged_[p]) continue;
@@ -1901,7 +1935,7 @@ int Router::credit_budget(PortId p, VcId v) const {
 }
 
 std::uint64_t Router::state_digest() const {
-  digest::Fnv h;
+  digest::Mixer h;
   h.mix(static_cast<std::uint64_t>(id_));
   const int pv = num_ports_ * num_vcs_;
   for (int g = 0; g < pv; ++g) {
@@ -1985,7 +2019,7 @@ std::uint64_t Router::state_digest() const {
   h.mix(own_probe_route_.size());
   std::uint64_t route_sum = 0;
   for (const auto& [pid, r] : own_probe_route_) {
-    digest::Fnv e;
+    digest::Mixer e;
     e.mix(pid);
     e.mix(static_cast<std::uint64_t>(r.port));
     e.mix(static_cast<std::uint64_t>(r.sent_at));

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -43,43 +44,46 @@
 #include "noc/arbiter.hpp"
 #include "noc/channel.hpp"
 #include "noc/flit_store.hpp"
-#include "noc/router_iface.hpp"
 #include "noc/routing.hpp"
 #include "noc/stats.hpp"
 #include "noc/topology.hpp"
+#include "noc/wire.hpp"
 #include "power/energy_model.hpp"
 
 namespace ftnoc {
 
-class Router final : public RouterIface {
+class Router {
  public:
   Router(NodeId id, const SimConfig& cfg, const Topology& topo,
          FaultInjector* faults, power::EnergyMeter* meter,
          StatsCollector* stats);
+  // Connected wires point into this object's signal arrays.
+  Router(const Router&) = delete;
+  Router& operator=(const Router&) = delete;
 
   /// Wires port `p`: `in` carries the neighbour's (or PE's) signals toward
   /// this router, `out` carries this router's signals away. Either may be
   /// nullptr for a nonexistent link (mesh edge).
-  void connect(PortId p, Wire* in, Wire* out) override;
+  void connect(PortId p, Wire* in, Wire* out);
 
-  void set_eject_fn(EjectFn fn) override { eject_ = std::move(fn); }
+  void set_eject_fn(EjectFn fn) { eject_ = std::move(fn); }
 
   /// Marks a link port as hard-failed (pre-programmed into the VA's
   /// link-state table, §4.2). The VA never allocates toward a dead port;
   /// adaptive routing detours around it.
-  void fail_link(PortId p) override;
+  void fail_link(PortId p);
 
   /// Advances the router one clock cycle.
-  void step(Cycle now) override;
+  void step(Cycle now);
 
-  NodeId id() const override { return id_; }
+  NodeId id() const { return id_; }
 
   // --- Introspection (stats sampling, tests) -----------------------------
-  int tx_buffer_occupancy() const override;
-  int tx_buffer_slots() const override;
-  int rtx_buffer_occupancy() const override;
-  int rtx_buffer_slots() const override;
-  bool in_recovery() const override { return agent_.in_recovery(); }
+  int tx_buffer_occupancy() const;
+  int tx_buffer_slots() const;
+  int rtx_buffer_occupancy() const;
+  int rtx_buffer_slots() const;
+  bool in_recovery() const { return agent_.in_recovery(); }
   const DeadlockAgent& deadlock_agent() const { return agent_; }
   /// Live entries in the own-probe route map (bounded-memory test).
   std::size_t probe_route_entries() const { return own_probe_route_.size(); }
@@ -87,36 +91,62 @@ class Router final : public RouterIface {
   bool quiescent() const;
 
   /// Occupancy of one input VC buffer (tests).
-  int input_buffer_size(PortId p, VcId v) const override;
+  int input_buffer_size(PortId p, VcId v) const;
   /// Whether an input VC currently holds an active wormhole (tests).
   bool input_vc_active(PortId p, VcId v) const;
   /// Human-readable state snapshot (debugging and trace examples).
-  std::string debug_dump(Cycle now) const override;
+  std::string debug_dump(Cycle now) const;
 
-  /// Architectural-state hash for lock-step differential comparison.
-  std::uint64_t state_digest() const override;
+  /// Hash (digest::Mixer), in a fixed traversal order, of every piece of
+  /// architectural state that determines future behaviour: VC states,
+  /// buffered flits, credits, retransmission barrels, staged registers,
+  /// arbiter rotations, deadlock-agent state. Derived caches (work masks,
+  /// occupancy counters) are left out — check_local_invariants() audits
+  /// them against this state instead — so scan/event lockstep and the
+  /// pinned trajectories compare behaviour, not bookkeeping.
+  std::uint64_t state_digest() const;
 
   // --- Invariant monitor hooks (DESIGN.md §4.8) ---------------------------
-  void set_monitor(InvariantMonitor* mon) override { mon_ = mon; }
+  void set_monitor(InvariantMonitor* mon) { mon_ = mon; }
   /// Recomputes the derived state (work masks, alloc_ogs_, tx_occ_,
   /// staged_count_, barrel summaries) from scratch and reports any
-  /// disagreement.
-  void check_local_invariants(Cycle now) override;
-  long long live_flit_count() const override;
-  int held_credits(PortId p, VcId v) const override;
-  int credit_budget(PortId p, VcId v) const override;
+  /// disagreement, and checks that no waiting head or unabsorbed deadlock
+  /// waiter is bound to a dead or draining port.
+  void check_local_invariants(Cycle now);
+  /// Live flit instances held inside this router for the network-wide
+  /// conservation ledger: input buffers + staged ST registers (minus
+  /// replay shadows) + retransmission-barrel pending regions.
+  long long live_flit_count() const;
+  /// Sender-side credit instances for directed link (`p`, `v`): the free
+  /// credit counter plus credits bound to staged or rolled-back flits.
+  int held_credits(PortId p, VcId v) const;
+  /// The sender-side credit budget the conservation walk checks (`p`, `v`)
+  /// against: vc_buffer_depth normally, and under the DAMQ policy the VC's
+  /// reserve plus its currently borrowed shared slots (DESIGN.md §4.11).
+  int credit_budget(PortId p, VcId v) const;
 
   // --- Permanent-fault escalation (DESIGN.md §4.9) ------------------------
-  bool link_failed(PortId p) const override {
-    return mask_has(dead_ports_, p);
-  }
-  std::uint8_t take_escalation_requests() override {
+  /// True once port `p` has been marked hard-failed (static config or a
+  /// completed runtime escalation). The invariant monitor's dead-link walk
+  /// keys off this rather than the topology so a draining link is not a
+  /// false positive.
+  bool link_failed(PortId p) const { return mask_has(dead_ports_, p); }
+  /// Ports whose uncorrectable-error streak crossed the escalation
+  /// threshold since the last poll, as a bitmask; clears the pending set.
+  std::uint8_t take_escalation_requests() {
     const std::uint8_t r = escalation_requests_;
     escalation_requests_ = 0;
     return r;
   }
-  void begin_link_drain(PortId p, Cycle now) override;
-  void request_escalation(PortId p) override {
+  /// Begins draining link port `p`: no new allocations toward it; once the
+  /// port falls idle the router marks it hard-failed. Re-homes packets
+  /// still waiting on it (they re-route, counted as packets_rerouted).
+  void begin_link_drain(PortId p, Cycle now);
+  /// Test seam modelling a BIST/wearout monitor flagging port `p` as
+  /// failing: queues it for the next escalation poll exactly as a crossed
+  /// uncorrectable-error streak would. Lets tests raise several same-cycle
+  /// requests and pin the network's sequential partition-veto semantics.
+  void request_escalation(PortId p) {
     escalation_requests_ |= port_bit(p);
   }
 
@@ -125,7 +155,7 @@ class Router final : public RouterIface {
   /// driven, whether any retained state demands a self-tick next cycle,
   /// and the exact own-probe GC deadline when that is the *only* thing
   /// left. Consuming resets the wrote masks for the next step.
-  WakeInfo take_wake_info() override;
+  WakeInfo take_wake_info();
 
  private:
   // --- Per-VC state -------------------------------------------------------

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/deadlock.hpp"
+#include "core/invariants.hpp"
+#include "noc/network.hpp"
 #include "noc/simulator.hpp"
 
 namespace ftnoc {
@@ -106,6 +108,38 @@ TEST(FallbackRecovery, SaturatedAdaptiveMakesProgressWithRecovery) {
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.corrupted_delivered, 0u);
   EXPECT_GT(r.deadlocks_confirmed + r.fallback_recoveries, 0u);
+}
+
+TEST(RecoveryBufferBound, DamqRecoveryEntryUsesEffectiveDepth) {
+  // Regression: under damq, validate() admits Eq. (1) at the effective
+  // per-VC depth K + V*(depth-K) (DESIGN.md §4.11), but the monitor's
+  // re-check at recovery entry used the nominal depth, so a legal config
+  // tripped kRecoveryBufferBound the first time recovery engaged. Here
+  // depth=2, rtx=3, M=5 fails Eq. (1) nominally (T+R = 5) and passes at
+  // the effective depth 1 + 2*1 = 3 (T+R = 6 > 5).
+  SimConfig cfg;
+  cfg.mesh_width = 4;
+  cfg.mesh_height = 4;
+  cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
+  cfg.num_vcs = 2;
+  cfg.vc_buffer_depth = 2;
+  cfg.retransmission_depth = 3;
+  cfg.packet_length = 5;
+  cfg.buffer_policy = BufferPolicyKind::kDamq;
+  cfg.damq_reserve_slots = 1;
+  cfg.injection_rate = 0.4;
+  cfg.deadlock.enable_recovery = true;
+  cfg.deadlock.probe_threshold = 8;
+  cfg.check_invariants = true;
+  ASSERT_EQ(cfg.validate(), std::nullopt);
+  Network net(cfg);
+  ASSERT_NE(net.monitor(), nullptr);
+  net.monitor()->set_abort_on_violation(false);
+  net.stats().begin_measurement(0);
+  for (int c = 0; c < 5'000; ++c) net.step();
+  EXPECT_GT(net.stats().recoveries_entered(), 0u) << "recovery never engaged";
+  EXPECT_EQ(net.monitor()->violations(), 0u)
+      << net.monitor()->first_violation();
 }
 
 TEST(ExitWindow, ConfigurableAndValidated) {

@@ -140,7 +140,7 @@ TEST(IntegrationDeadlock, ProbeRouteMapStaysBounded) {
   for (int c = 0; c < 20'000; ++c) {
     net.step();
     for (NodeId n = 0; n < 16; ++n) {
-      const std::size_t e = net.router(n).probe_route_entries();
+      const std::size_t e = net.router_base(n).probe_route_entries();
       max_entries = std::max(max_entries, e);
       ASSERT_LE(e, 1u) << "node " << n << " cycle " << c;
     }

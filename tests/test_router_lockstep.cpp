@@ -1,63 +1,71 @@
-// Router vs ReferenceRouter in lock-step: one network of each kind built
-// from the same config, stepped side by side, state_digest() compared
-// every cycle. The reference router keeps no derived state (no work
-// masks, no allocated-output mask), so each config below drives one
-// branch of the optimized router's mask algebra against the plain scans
-// it replaced:
+// Pinned router trajectories: each config below is stepped on the event
+// kernel and the scan kernel side by side, state_digest() compared every
+// cycle, and every cycle's digest folded through digest::Mixer into one
+// value pinned as a constant. The pins were recorded from the same
+// configs stepped against an independent reference router implementation
+// with no derived state, so they are that model's trajectory: any change
+// to behaviour — including a derived mask that silently drifts from the
+// state it summarises — moves the fold. Each config drives one branch of
+// the router's mask algebra:
 //   * adaptive_escape — the escape-lane filter of the VA option mask;
 //   * voq             — the VOQ lane filter;
 //   * adaptive + adaptive_faults + recovery + storm kills — draining
 //     ports, kVaWait chain resolution through the allocated-output mask
 //     and Rule 1 probes behind the per-cycle probe gate;
 //   * 4-stage pipeline — the staged switch-traversal register.
-// The differential fuzzer compares the same pair over random configs;
-// these fixed configs keep the comparison in the tier-1 gate.
+// The invariant monitor (with the router's derived-state audit) runs on
+// both networks throughout.
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <cstdint>
 
 #include "common/config.hpp"
+#include "noc/digest.hpp"
 #include "noc/network.hpp"
 
 namespace ftnoc {
 namespace {
 
-// Steps both routers for `cycles` under the invariant monitor (which also
-// audits the optimized router's derived masks every cycle) and returns
-// the optimized network's stats so each test can check its scenario
-// exercised the branch it is about.
-StatsCollector run_lockstep(SimConfig cfg, Cycle cycles) {
+// Steps the event and scan kernels for `cycles` in lockstep under the
+// invariant monitor, checks the folded digest trajectory against `pin`,
+// and returns the event network's stats so each test can check its
+// scenario exercised the branch it is about.
+StatsCollector run_pinned(SimConfig cfg, Cycle cycles, std::uint64_t pin) {
   cfg.check_invariants = true;
   EXPECT_EQ(cfg.validate(), std::nullopt);
-  SimConfig opt_cfg = cfg;
-  opt_cfg.use_reference_router = false;
-  SimConfig ref_cfg = cfg;
-  ref_cfg.use_reference_router = true;
-  Network opt(opt_cfg);
-  Network ref(ref_cfg);
-  if (auto* m = opt.monitor()) m->set_abort_on_violation(false);
-  if (auto* m = ref.monitor()) m->set_abort_on_violation(false);
-  opt.stats().begin_measurement(0);
-  ref.stats().begin_measurement(0);
+  SimConfig scan_cfg = cfg;
+  scan_cfg.force_scan_kernel = true;
+  Network event(cfg);
+  Network scan(scan_cfg);
+  if (auto* m = event.monitor()) m->set_abort_on_violation(false);
+  if (auto* m = scan.monitor()) m->set_abort_on_violation(false);
+  event.stats().begin_measurement(0);
+  scan.stats().begin_measurement(0);
+  digest::Mixer trajectory;
   for (Cycle c = 0; c < cycles; ++c) {
-    opt.step();
-    ref.step();
-    if (opt.state_digest() != ref.state_digest()) {
-      ADD_FAILURE() << "Router diverged from ReferenceRouter at cycle "
-                    << opt.now();
+    event.step();
+    scan.step();
+    const std::uint64_t d = event.state_digest();
+    if (d != scan.state_digest()) {
+      ADD_FAILURE() << "scan and event kernels diverged at cycle "
+                    << event.now();
       break;
     }
+    trajectory.mix(d);
   }
-  for (Network* net : {&opt, &ref}) {
+  EXPECT_EQ(trajectory.value(), pin)
+      << "state trajectory moved off the pinned one (got 0x" << std::hex
+      << trajectory.value() << ")";
+  for (Network* net : {&event, &scan}) {
     const auto* mon = net->monitor();
     EXPECT_NE(mon, nullptr);
     if (mon != nullptr) {
       EXPECT_EQ(mon->violations(), 0u) << mon->first_violation();
     }
   }
-  EXPECT_GT(opt.stats().messages_ejected(), 0u) << "no traffic delivered";
-  return opt.stats();
+  EXPECT_GT(event.stats().messages_ejected(), 0u) << "no traffic delivered";
+  return event.stats();
 }
 
 // Loaded enough that heads wait for output VCs (the VA option mask then
@@ -80,14 +88,14 @@ SimConfig loaded_4x4() {
 TEST(RouterLockstep, AdaptiveEscapeLaneFilter) {
   SimConfig cfg = loaded_4x4();
   cfg.routing = RoutingAlgorithm::kAdaptiveEscape;
-  run_lockstep(cfg, 3000);
+  run_pinned(cfg, 3000, 0x62fbe468c008054bull);
 }
 
 TEST(RouterLockstep, VoqLaneFilter) {
   SimConfig cfg = loaded_4x4();
   cfg.buffer_policy = BufferPolicyKind::kVoq;
   cfg.num_vcs = 4;
-  run_lockstep(cfg, 3000);
+  run_pinned(cfg, 3000, 0x404d8ea30c3e580cull);
 }
 
 TEST(RouterLockstep, AdaptiveRecoveryWithStormKills) {
@@ -100,7 +108,7 @@ TEST(RouterLockstep, AdaptiveRecoveryWithStormKills) {
   cfg.deadlock.probe_threshold = 16;
   cfg.storm_kills.push_back({400, 5, Direction::kEast});
   cfg.storm_kills.push_back({900, 10, Direction::kNorth});
-  const StatsCollector s = run_lockstep(cfg, 3000);
+  const StatsCollector s = run_pinned(cfg, 3000, 0x5a9fc31c2bb17c55ull);
   EXPECT_EQ(s.links_storm_killed(), 2u) << "storm timeline never fired";
   EXPECT_GT(s.packets_rerouted(), 0u) << "no draining-port re-home";
   EXPECT_GT(s.hard_fault_reroutes(), 0u) << "no detour around a dead port";
@@ -116,7 +124,7 @@ TEST(RouterLockstep, FourStagePipeline) {
   cfg.protection = LinkProtection::kHbh;
   cfg.faults.link_error_rate = 1e-3;
   cfg.faults.multi_bit_fraction = 0.3;  // Real NACKs, not just FEC.
-  const StatsCollector s = run_lockstep(cfg, 3000);
+  const StatsCollector s = run_pinned(cfg, 3000, 0x073a7c35b45963e2ull);
   EXPECT_GT(s.nacks_sent(), 0u) << "no replay through the staged register";
 }
 

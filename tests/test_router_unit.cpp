@@ -68,6 +68,40 @@ class RouterHarness : public ::testing::Test {
     return flits;
   }
 
+  // Scripts the fake East neighbour of a 4-stage HBH sender: the wormhole
+  // opens cleanly (seq 0-1), seq 2 arrives wrecked, seq 3-5 are already in
+  // flight behind it and arrive back-to-back, and after seeing the NACK the
+  // neighbour replays seq 2-5. Returns the NACKs the router sent.
+  int run_four_stage_drop_window_script() {
+    cfg_.pipeline_stages = 4;
+    cfg_.retransmission_depth = 4;
+    cfg_.vc_buffer_depth = 6;
+    build();
+    auto pkt = make_packet(7, /*dest=*/0, 6);  // Ejects locally at router 0.
+    Flit corrupt = pkt[2];
+    corrupt.codeword.flip(3);
+    corrupt.codeword.flip(7);  // Two flips: uncorrectable, forces a NACK.
+    int nacks_seen = 0;
+    for (int c = 0; c < 40; ++c) {
+      switch (c) {
+        case 0: east_in_.flit.write(pkt[0]); break;
+        case 1: east_in_.flit.write(pkt[1]); break;
+        case 2: east_in_.flit.write(corrupt); break;
+        case 3: east_in_.flit.write(pkt[3]); break;   // In flight: must drop.
+        case 4: east_in_.flit.write(pkt[4]); break;   // In flight: must drop.
+        case 5: east_in_.flit.write(pkt[5]); break;   // In flight: must drop.
+        case 10: east_in_.flit.write(pkt[2]); break;  // Replay, clean.
+        case 11: east_in_.flit.write(pkt[3]); break;
+        case 12: east_in_.flit.write(pkt[4]); break;
+        case 13: east_in_.flit.write(pkt[5]); break;
+        default: break;
+      }
+      if (east_in_.nack.read()) ++nacks_seen;
+      tick();
+    }
+    return nacks_seen;
+  }
+
   SimConfig cfg_;
   Topology topo_;
   StatsCollector stats_;
@@ -290,43 +324,26 @@ TEST_F(RouterHarness, FourStageHbhDropWindowCoversThirdFollower) {
   // pipe stage), so the receiver's drop window must span three cycles.
   // With the old two-cycle window the third follower was accepted stale
   // into the open wormhole ahead of its own replay, wrecking flit order.
-  cfg_.pipeline_stages = 4;
-  cfg_.retransmission_depth = 4;
-  cfg_.vc_buffer_depth = 6;
-  build();
-  auto pkt = make_packet(7, /*dest=*/0, 6);  // Ejects locally at router 0.
-  Flit corrupt = pkt[2];
-  corrupt.codeword.flip(3);
-  corrupt.codeword.flip(7);  // Two flips: uncorrectable, forces a NACK.
-  // Wall-clock script of the fake East neighbour: the wormhole opens
-  // cleanly (seq 0-1), seq 2 arrives wrecked, seq 3-5 are already in
-  // flight behind it and arrive back-to-back, and after seeing the NACK
-  // the neighbour replays seq 2-5.
-  int nacks_seen = 0;
-  for (int c = 0; c < 40; ++c) {
-    switch (c) {
-      case 0: east_in_.flit.write(pkt[0]); break;
-      case 1: east_in_.flit.write(pkt[1]); break;
-      case 2: east_in_.flit.write(corrupt); break;
-      case 3: east_in_.flit.write(pkt[3]); break;   // In flight: must drop.
-      case 4: east_in_.flit.write(pkt[4]); break;   // In flight: must drop.
-      case 5: east_in_.flit.write(pkt[5]); break;   // In flight: must drop.
-      case 10: east_in_.flit.write(pkt[2]); break;  // Replay, clean.
-      case 11: east_in_.flit.write(pkt[3]); break;
-      case 12: east_in_.flit.write(pkt[4]); break;
-      case 13: east_in_.flit.write(pkt[5]); break;
-      default: break;
-    }
-    if (east_in_.nack.read()) ++nacks_seen;
-    tick();
-  }
-  EXPECT_EQ(nacks_seen, 1);
+  EXPECT_EQ(run_four_stage_drop_window_script(), 1);
   // Exactly one clean copy of every flit, in order — no stale follower
   // delivered ahead of its replay, no duplicates.
   ASSERT_EQ(ejected_.size(), 6u);
   for (std::uint8_t i = 0; i < 6; ++i) {
     EXPECT_EQ(ejected_[i].first.seq, i) << "position " << int(i);
   }
+}
+
+TEST_F(RouterHarness, DropWindowPlantDeliversThirdFollowerOutOfOrder) {
+  // The `drop_window` plant reverts the fix above (window now+2). It has
+  // never changed a whole network's output or tripped the invariant
+  // monitor, so the fuzz harness cannot see it; this scripted flow, with
+  // three followers in flight, is where it shows (DESIGN.md §4.8).
+  cfg_.test_mutation = TestMutation::kDropWindow;
+  run_four_stage_drop_window_script();
+  std::vector<int> seqs;
+  for (const auto& [f, at] : ejected_) seqs.push_back(f.seq);
+  const std::vector<int> in_order = {0, 1, 2, 3, 4, 5};
+  EXPECT_NE(seqs, in_order) << "the two-cycle window kept flit order";
 }
 
 TEST(RouterIdle, QuiescentCycleChangesNothingAndChargesNothing) {

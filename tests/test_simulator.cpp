@@ -87,7 +87,7 @@ TEST(Simulator, RouterDebugDumpShowsActiveState) {
   for (int i = 0; i < 8; ++i) sim.network().step();
   std::string all;
   for (NodeId n = 0; n < 16; ++n) {
-    all += sim.network().router(n).debug_dump(sim.network().now());
+    all += sim.network().router_base(n).debug_dump(sim.network().now());
   }
   EXPECT_NE(all.find("pkt"), std::string::npos);
   EXPECT_NE(all.find("ACTIVE"), std::string::npos);

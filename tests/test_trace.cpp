@@ -246,7 +246,12 @@ TEST(TraceReplay, TraceOnTopOfSyntheticTraffic) {
   EXPECT_TRUE(r.completed);
 }
 
-SimConfig dead_source_config(bool reference) {
+TEST(TraceReplay, DeadSourceRecordsAreCountedDrops) {
+  // Regression: trace records whose source router is dead used to be
+  // injected into a PE that is never stepped — the packets sat in the
+  // injection queue forever and a run_to_drain replay looked "complete"
+  // while silently losing them. They are now dropped at release time and
+  // counted, so the ledger stays honest.
   SimConfig cfg;
   cfg.mesh_width = 4;
   cfg.mesh_height = 4;
@@ -258,30 +263,15 @@ SimConfig dead_source_config(bool reference) {
   cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
   cfg.adaptive_faults = true;
   cfg.dead_routers.push_back(5);
-  cfg.use_reference_router = reference;
-  return cfg;
-}
-
-TEST(TraceReplay, DeadSourceRecordsAreCountedDrops) {
-  // Regression: trace records whose source router is dead used to be
-  // injected into a PE that is never stepped — the packets sat in the
-  // injection queue forever and a run_to_drain replay looked "complete"
-  // while silently losing them. They are now dropped at release time and
-  // counted, so the ledger stays honest.
-  for (const bool reference : {false, true}) {
-    SimConfig cfg = dead_source_config(reference);
-    Simulator sim(cfg);
-    sim.network().load_trace({{0, 5, 6, 4},    // Source router 5 is dead.
-                              {10, 0, 3, 4},   // Normal delivery.
-                              {20, 5, 10, 4},  // Dead again.
-                              {30, 1, 2, 4}});
-    const SimResults r = sim.run();
-    EXPECT_TRUE(r.completed) << (reference ? "reference" : "production");
-    EXPECT_EQ(r.dead_source_drops, 2u)
-        << (reference ? "reference" : "production");
-    EXPECT_EQ(r.messages_ejected, 2u)
-        << (reference ? "reference" : "production");
-  }
+  Simulator sim(cfg);
+  sim.network().load_trace({{0, 5, 6, 4},    // Source router 5 is dead.
+                            {10, 0, 3, 4},   // Normal delivery.
+                            {20, 5, 10, 4},  // Dead again.
+                            {30, 1, 2, 4}});
+  const SimResults r = sim.run();
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.dead_source_drops, 2u);
+  EXPECT_EQ(r.messages_ejected, 2u);
 }
 
 TEST(TraceReplayDeath, RejectsPastCycles) {

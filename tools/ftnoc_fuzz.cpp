@@ -1,32 +1,32 @@
-// Differential fuzz harness: drives the optimized Router and the
-// allocation-happy ReferenceRouter in lock-step on randomized
-// configurations and compares the full architectural-state digest every
-// cycle. Any divergence is a bug in one of the two implementations (or in
-// the shared phase contract). The invariant monitor rides along in
-// count-and-continue mode, so structural violations are findings too.
+// Fuzz harness: drives one Router network on the event kernel and one on
+// the full-scan kernel in lock-step on randomized configurations. Every
+// cycle it compares the two full architectural-state digests and reads the
+// invariant monitor (count-and-continue mode on both networks), stopping
+// at the first cycle either disagrees or reports a violation. The monitor
+// includes the router's derived-state audit (check_local_invariants), so
+// the oracle is: invariants, derived-state audit and scan/event lockstep
+// (DESIGN.md §4.8).
 //
 // On a finding, the harness greedily minimizes the configuration (reset
 // each override to its default, keep the reduction if the run still
-// fails) and emits a replayable repro file of apply_override-compatible
-// key=value assignments.
+// fails the same way) and emits a replayable repro file of
+// apply_override-compatible key=value assignments.
 //
 //   ftnoc_fuzz [--runs N] [--cycles N] [--seed S] [--time-budget SEC]
 //              [--out FILE] [--plant NAME] [--selftest] [--replay FILE]
 //
-// --selftest plants a known mutation (optimized router only; the
-// reference ignores mutations by construction) and exits 0 iff the
-// harness detects the divergence and the emitted repro replays. This is
-// the end-to-end proof that the oracle has teeth. The default plant is
-// "drop_window"; `--selftest --plant route_into_dead_link` instead
-// proves the permanent-fault paths are under the oracle (the optimized
-// router routes fault-blind on a topology with a dead link),
-// `--selftest --plant damq_credit_leak` proves the DAMQ shared-pool
-// credit accounting is (the optimized router leaks a shared_held_
-// decrement on credit return), and `--selftest --plant strand_waiter`
-// proves the link-drain waiter re-home path is (the optimized router
-// reverts the PR 8 fix and strands registered deadlock waiters on a
-// draining port, wedging the drain).
+// --selftest --plant NAME plants a known router mutation in the plant's
+// habitat config and exits 0 iff the harness detects it and the emitted
+// repro replays — the end-to-end proof that the oracle has teeth:
+// `route_into_dead_link` (fault-blind routing on a faulted topology),
+// `damq_credit_leak` (a shared_held_ decrement skipped on a DAMQ credit
+// return) and `strand_waiter` (a link drain that strands registered
+// deadlock waiters). `drop_window` changes no network's output, so its
+// proof is a scripted router unit test instead, and the selftest refuses
+// it. A malformed repro file (unknown key, invalid config, bad cycle
+// count or plant name) fails --replay with exit 2.
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -34,6 +34,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -51,8 +53,8 @@ using ftnoc::TestMutation;
 
 struct RunResult {
   bool failed = false;
-  Cycle cycle = 0;       // First cycle the digests disagreed (if diverged).
-  bool diverged = false; // Digest mismatch (vs invariant violation only).
+  Cycle cycle = 0;        // Cycle count when the finding was detected.
+  bool diverged = false;  // Digest mismatch (vs invariant violation only).
   std::string what;
 };
 
@@ -67,60 +69,61 @@ struct Options {
   std::string replay;
 };
 
-// Runs one configuration (given as override assignments applied to a
-// default SimConfig) on both router implementations in lock-step.
+// Parses and validates a configuration given as override assignments
+// applied to a default SimConfig; returns the error, if any.
+std::optional<std::string> build_config(const std::vector<std::string>& ov,
+                                        SimConfig& cfg) {
+  if (auto err = ftnoc::apply_overrides(cfg, ov)) {
+    return "bad override: " + *err;
+  }
+  if (auto err = cfg.validate()) return "invalid config: " + *err;
+  return std::nullopt;
+}
+
+// Runs one configuration, with `plant` applied, on the event and the scan
+// kernel in lock-step, stopping at the first invariant violation or
+// digest mismatch.
 RunResult run_pair(const std::vector<std::string>& overrides, Cycle cycles,
                    TestMutation plant) {
   RunResult res;
   SimConfig cfg;
-  if (auto err = ftnoc::apply_overrides(cfg, overrides)) {
+  if (auto err = build_config(overrides, cfg)) {
     res.failed = true;
-    res.what = "bad override: " + *err;
+    res.what = *err;
     return res;
   }
   cfg.check_invariants = true;
-  if (auto err = cfg.validate()) {
-    res.failed = true;
-    res.what = "invalid config: " + *err;
-    return res;
-  }
+  cfg.test_mutation = plant;
+  SimConfig scan_cfg = cfg;
+  cfg.force_scan_kernel = false;
+  scan_cfg.force_scan_kernel = true;
 
-  SimConfig opt_cfg = cfg;
-  opt_cfg.use_reference_router = false;
-  opt_cfg.test_mutation = plant;
-  SimConfig ref_cfg = cfg;
-  ref_cfg.use_reference_router = true;
-  ref_cfg.test_mutation = TestMutation::kNone;
-
-  Network opt(opt_cfg);
-  Network ref(ref_cfg);
-  if (auto* m = opt.monitor()) m->set_abort_on_violation(false);
-  if (auto* m = ref.monitor()) m->set_abort_on_violation(false);
+  Network event(cfg);
+  Network scan(scan_cfg);
+  auto* em = event.monitor();
+  auto* sm = scan.monitor();
+  if (em) em->set_abort_on_violation(false);
+  if (sm) sm->set_abort_on_violation(false);
 
   for (Cycle c = 0; c < cycles; ++c) {
-    opt.step();
-    ref.step();
-    if (opt.state_digest() != ref.state_digest()) {
+    event.step();
+    scan.step();
+    res.cycle = event.now();
+    for (const auto& [mon, kernel] :
+         {std::pair{em, "event"}, std::pair{sm, "scan"}}) {
+      if (mon && mon->violations() > 0) {
+        res.failed = true;
+        res.what = std::string(kernel) + " kernel: " + mon->first_violation();
+        return res;
+      }
+    }
+    if (event.state_digest() != scan.state_digest()) {
       res.failed = true;
       res.diverged = true;
-      res.cycle = opt.now();
-      res.what = "state digests diverged at cycle " +
-                 std::to_string(opt.now());
+      res.what = "scan/event state digests diverged at cycle " +
+                 std::to_string(res.cycle);
       return res;
     }
-  }
-  const auto* om = opt.monitor();
-  const auto* rm = ref.monitor();
-  if (om && om->violations() > 0) {
-    res.failed = true;
-    res.cycle = opt.now();
-    res.what = "optimized router: " + std::to_string(om->violations()) +
-               " invariant violation(s); first: " + om->first_violation();
-  } else if (rm && rm->violations() > 0) {
-    res.failed = true;
-    res.cycle = opt.now();
-    res.what = "reference router: " + std::to_string(rm->violations()) +
-               " invariant violation(s); first: " + rm->first_violation();
   }
   return res;
 }
@@ -201,7 +204,7 @@ std::vector<std::string> random_config(Rng& rng) {
     }
     // Permanent faults: dead links/routers and runtime escalation walk
     // the fault-aware routing, drain and re-home paths through the
-    // differential oracle. Partitioning draws are rejected by validate()
+    // oracle. Partitioning draws are rejected by validate()
     // below, which re-enters the redraw loop.
     const int nodes = w * h;
     if (rng.bernoulli(0.25)) {
@@ -224,8 +227,8 @@ std::vector<std::string> random_config(Rng& rng) {
     // Fault-storm timelines: links die mid-run, walking the online
     // reconfiguration (route-epoch re-home) and drain paths under the
     // oracle. Cycles ascend (validate() requires it); partition-prone
-    // draws are fine — the veto trims them at runtime identically in
-    // both implementations.
+    // draws are fine — the veto trims them at runtime identically under
+    // both kernels.
     bool any_faults = false;
     if (rng.bernoulli(0.2)) {
       static const char* kDirs[] = {"N", "E", "S", "W"};
@@ -250,8 +253,7 @@ std::vector<std::string> random_config(Rng& rng) {
     }
 
     SimConfig probe;
-    if (ftnoc::apply_overrides(probe, ov)) continue;
-    if (probe.validate()) continue;  // Eq. (1) etc. refused; redraw.
+    if (build_config(ov, probe)) continue;  // Eq. (1) etc. refused; redraw.
     return ov;
   }
 }
@@ -279,19 +281,22 @@ std::vector<std::string> minimize(std::vector<std::string> ov,
                                   TestMutation plant,
                                   const std::chrono::steady_clock::time_point
                                       deadline) {
+  // Each pass tries every remaining override once (a kept removal leaves
+  // `i` on the next candidate); passes repeat until one removes nothing.
   bool shrunk = true;
   while (shrunk) {
     shrunk = false;
-    for (std::size_t i = 0; i < ov.size(); ++i) {
+    for (std::size_t i = 0; i < ov.size();) {
       if (std::chrono::steady_clock::now() > deadline) return ov;
       std::vector<std::string> trial = ov;
       trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
       SimConfig probe;
-      if (ftnoc::apply_overrides(probe, trial) || probe.validate()) continue;
-      if (same_failure(run_pair(trial, cycles, plant), orig)) {
+      if (!build_config(trial, probe) &&
+          same_failure(run_pair(trial, cycles, plant), orig)) {
         ov = std::move(trial);
         shrunk = true;
-        break;
+      } else {
+        ++i;
       }
     }
   }
@@ -312,27 +317,90 @@ void write_repro(const std::string& path, const std::vector<std::string>& ov,
   for (const auto& o : ov) f << o << "\n";
 }
 
+// Parses a repro cycle count: decimal digits only, at least 1, no
+// overflow.
+std::optional<Cycle> parse_cycles(std::string_view text) {
+  Cycle v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v == 0) return std::nullopt;
+  return v;
+}
+
 // Repro format: one key=value per line; '#' comments; the harness-level
 // keys "cycles" and "plant" are consumed here, everything else goes to
-// apply_override. An unknown plant name fails the read.
-bool read_repro(const std::string& path, std::vector<std::string>& ov,
-                Cycle& cycles, TestMutation& plant) {
+// apply_override and must form a valid configuration. Returns the error
+// that makes the file unusable, if any.
+std::optional<std::string> read_repro(const std::string& path,
+                                      std::vector<std::string>& ov,
+                                      Cycle& cycles, TestMutation& plant) {
   std::ifstream f(path);
-  if (!f) return false;
+  if (!f) return "cannot read repro file";
   std::string line;
   while (std::getline(f, line)) {
     if (line.empty() || line[0] == '#') continue;
     if (line.rfind("cycles=", 0) == 0) {
-      cycles = static_cast<Cycle>(std::stoull(line.substr(7)));
+      const auto c = parse_cycles(std::string_view(line).substr(7));
+      if (!c) return "bad cycle count: " + line;
+      cycles = *c;
     } else if (line.rfind("plant=", 0) == 0) {
       const auto m = ftnoc::parse_test_mutation(line.substr(6));
-      if (!m) return false;
+      if (!m) return "unknown plant: " + line;
       plant = *m;
     } else {
       ov.push_back(line);
     }
   }
-  return true;
+  SimConfig cfg;
+  return build_config(ov, cfg);
+}
+
+// The config a plant's self-test runs in: where the mutation actually
+// changes behaviour. Run `i` varies only the simulation seed.
+std::optional<std::vector<std::string>> plant_habitat(TestMutation plant,
+                                                      int i) {
+  std::vector<std::string> ov = {"seed=" + std::to_string(1000 + i),
+                                 "mesh_width=4",
+                                 "mesh_height=4",
+                                 "vc_buffer_depth=4",
+                                 "pipeline_stages=3",
+                                 "packet_length=4",
+                                 "protection=hbh"};
+  switch (plant) {
+    case TestMutation::kRouteIntoDeadLink:
+      // A faulted topology where the fault-blind closed form differs from
+      // the fault-aware port set, so headers wait on the dead link.
+      ov.insert(ov.end(), {"num_vcs=3", "injection_rate=0.25",
+                           "routing=adaptive", "dead_link=5:E"});
+      return ov;
+    case TestMutation::kStrandWaiter:
+      // Saturating adaptive traffic with aggressive deadlock probing (so
+      // output VCs carry registered waiters) and a storm timeline that
+      // drains a central link every 100 cycles. A waiter whose flits have
+      // not been absorbed must be re-homed off the draining port; the
+      // plant leaves it. A kill only strands a waiter that exists at that
+      // cycle, so about half the seeds show the plant.
+      ov.insert(ov.end(),
+                {"num_vcs=2", "injection_rate=0.5", "routing=adaptive",
+                 "deadlock_recovery=1", "probe_threshold=8",
+                 "probe_backoff=8", "exit_block_window=256",
+                 "storm_kill=200:5:E", "storm_kill=300:6:E",
+                 "storm_kill=400:9:E", "storm_kill=500:10:E",
+                 "storm_kill=600:5:N", "storm_kill=700:6:N",
+                 "storm_kill=800:9:N", "storm_kill=900:10:N"});
+      return ov;
+    case TestMutation::kDamqCreditLeak:
+      // DAMQ shared buffering under enough load that credit returns take
+      // the shared path (the leak skips the shared_held_ decrement, so the
+      // sender's pool ledger drifts within a few returns).
+      ov.insert(ov.end(), {"num_vcs=3", "injection_rate=0.3", "routing=xy",
+                           "buffer_policy=damq", "damq_reserve_slots=1"});
+      return ov;
+    case TestMutation::kNone:
+    case TestMutation::kDropWindow:
+      break;
+  }
+  return std::nullopt;
 }
 
 int fuzz_main(const Options& opt) {
@@ -340,91 +408,15 @@ int fuzz_main(const Options& opt) {
   const auto deadline =
       t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                std::chrono::duration<double>(opt.time_budget_sec));
-  Rng master(opt.seed);
 
   for (int i = 0; i < opt.runs; ++i) {
     if (std::chrono::steady_clock::now() > deadline) {
-      std::printf("time budget exhausted after %d run(s); no divergence\n",
-                  i);
+      std::printf("time budget exhausted after %d run(s); no finding\n", i);
       return opt.selftest ? 1 : 0;
     }
     Rng rng(Rng::derive_seed(opt.seed, static_cast<std::uint64_t>(i)));
-    std::vector<std::string> ov;
-    if (opt.selftest && opt.plant == TestMutation::kRouteIntoDeadLink) {
-      // This plant's habitat: a faulted topology where the fault-blind
-      // closed form differs from the fault-aware port set, so the
-      // optimized router steers headers at the dead link while the
-      // reference detours around it.
-      ov = {"seed=" + std::to_string(1000 + i),
-            "mesh_width=4",
-            "mesh_height=4",
-            "num_vcs=3",
-            "vc_buffer_depth=4",
-            "pipeline_stages=3",
-            "packet_length=4",
-            "injection_rate=0.25",
-            "protection=hbh",
-            "routing=adaptive",
-            "dead_link=5:E"};
-    } else if (opt.selftest && opt.plant == TestMutation::kStrandWaiter) {
-      // This plant's habitat: heavy adaptive traffic with aggressive
-      // deadlock probing (so output VCs carry registered waiters) and a
-      // storm timeline that drains central links mid-run. A waiter whose
-      // flits have not been absorbed must be re-homed off the draining
-      // port; the plant reverts that, so the optimized router's
-      // has_waiter/out_work state wedges while the reference re-homes.
-      ov = {"seed=" + std::to_string(1000 + i),
-            "mesh_width=4",
-            "mesh_height=4",
-            "num_vcs=2",
-            "vc_buffer_depth=4",
-            "pipeline_stages=3",
-            "packet_length=4",
-            "injection_rate=0.4",
-            "protection=hbh",
-            "routing=adaptive",
-            "deadlock_recovery=1",
-            "probe_threshold=8",
-            "probe_backoff=8",
-            "exit_block_window=256",
-            "storm_kill=200:5:E",
-            "storm_kill=400:6:E",
-            "storm_kill=600:9:E"};
-    } else if (opt.selftest && opt.plant == TestMutation::kDamqCreditLeak) {
-      // This plant's habitat: damq shared buffering under enough load
-      // that credit returns actually take the shared path (the leak
-      // skips the shared_held_ decrement, so the sender's pool ledger
-      // drifts from the reference's within a few returns).
-      ov = {"seed=" + std::to_string(1000 + i),
-            "mesh_width=4",
-            "mesh_height=4",
-            "num_vcs=3",
-            "vc_buffer_depth=4",
-            "pipeline_stages=3",
-            "packet_length=4",
-            "injection_rate=0.3",
-            "protection=hbh",
-            "routing=xy",
-            "buffer_policy=damq",
-            "damq_reserve_slots=1"};
-    } else if (opt.selftest) {
-      // Bias toward the planted bug's habitat: a 4-stage HBH sender with
-      // real link errors (the short drop window admits a stale third
-      // follower).
-      ov = {"seed=" + std::to_string(1000 + i),
-            "mesh_width=4",
-            "mesh_height=4",
-            "num_vcs=3",
-            "vc_buffer_depth=4",
-            "pipeline_stages=4",
-            "retransmission_depth=4",
-            "packet_length=4",
-            "injection_rate=0.25",
-            "protection=hbh",
-            "link_error_rate=0.01"};
-    } else {
-      ov = random_config(rng);
-    }
+    const std::vector<std::string> ov =
+        opt.selftest ? *plant_habitat(opt.plant, i) : random_config(rng);
     if (std::getenv("FTNOC_FUZZ_TRACE")) {
       std::fprintf(stderr, "run %d:", i);
       for (const auto& o : ov) std::fprintf(stderr, " %s", o.c_str());
@@ -434,7 +426,8 @@ int fuzz_main(const Options& opt) {
     if (!res.failed) continue;
 
     std::printf("run %d FAILED: %s\n", i, res.what.c_str());
-    const Cycle rep_cycles = res.diverged ? res.cycle + 1 : opt.cycles;
+    // Every finding stops the run, so its cycle count is the repro's.
+    const Cycle rep_cycles = res.cycle;
     const auto min_ov = minimize(ov, res, rep_cycles, opt.plant, deadline);
     write_repro(opt.out, min_ov, rep_cycles, opt.plant, res);
     std::printf("repro (%zu overrides) written to %s\n", min_ov.size(),
@@ -464,7 +457,7 @@ int fuzz_main(const Options& opt) {
     }
     return opt.selftest ? 0 : 2;
   }
-  std::printf("%d run(s), no divergence\n", opt.runs);
+  std::printf("%d run(s), no finding\n", opt.runs);
   return opt.selftest ? 1 : 0;
 }
 
@@ -472,8 +465,9 @@ int replay_main(const Options& opt) {
   std::vector<std::string> ov;
   Cycle cycles = 1500;
   TestMutation plant = opt.plant;
-  if (!read_repro(opt.replay, ov, cycles, plant)) {
-    std::fprintf(stderr, "cannot read repro file: %s\n", opt.replay.c_str());
+  if (auto err = read_repro(opt.replay, ov, cycles, plant)) {
+    std::fprintf(stderr, "ftnoc_fuzz: bad repro %s: %s\n",
+                 opt.replay.c_str(), err->c_str());
     return 2;
   }
   const RunResult res = run_pair(ov, cycles, plant);
@@ -519,9 +513,6 @@ int main(int argc, char** argv) {
       opt.plant = *m;
     } else if (a == "--selftest") {
       opt.selftest = true;
-      if (opt.plant == TestMutation::kNone) {
-        opt.plant = TestMutation::kDropWindow;
-      }
     } else if (a == "--replay") {
       opt.replay = next();
     } else {
@@ -534,5 +525,12 @@ int main(int argc, char** argv) {
     }
   }
   if (!opt.replay.empty()) return replay_main(opt);
+  if (opt.selftest && !plant_habitat(opt.plant, 0)) {
+    std::fprintf(stderr,
+                 "ftnoc_fuzz: --selftest needs --plant route_into_dead_link, "
+                 "damq_credit_leak or strand_waiter (drop_window changes no "
+                 "network's output; RouterHarness unit tests cover it)\n");
+    return 2;
+  }
   return fuzz_main(opt);
 }
