@@ -1,8 +1,10 @@
 #include "noc/network.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -12,6 +14,7 @@
 namespace ftnoc {
 namespace {
 constexpr PortId kLocalPort = static_cast<PortId>(Direction::kLocal);
+constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
 
 void mix_wire(digest::Mixer& h, const Wire& w) {
   h.mix(w.flit.peek().has_value());
@@ -51,6 +54,7 @@ void ProcessingElement::enqueue_packet(std::vector<Flit> flits, bool front) {
   } else {
     pending_.push_back(std::move(flits));
   }
+  if (due_slot_ != nullptr) *due_slot_ = 0;
 }
 
 void ProcessingElement::hold_for_e2e(const std::vector<Flit>& flits) {
@@ -121,6 +125,24 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
     }
   }
 
+  const bool sent = send_flit(now);
+  if (due_slot_ != nullptr) *due_slot_ = next_due(now);
+  return sent;
+}
+
+Cycle ProcessingElement::next_due(Cycle now) const {
+  for (const auto& lane : lanes_) {
+    if (!lane.flits.empty() && lane.credits > 0) return now + 1;
+  }
+  if (!pending_.empty()) {
+    for (const auto& lane : lanes_) {
+      if (!lane.busy && lane.flits.empty()) return now + 1;
+    }
+  }
+  return source_ ? source_->next_due() : kNever;
+}
+
+bool ProcessingElement::send_flit(Cycle now) {
   // Send at most one flit per cycle over the PE-to-router channel.
   if (!wire_->flit.can_write()) return false;
   const int nv = static_cast<int>(lanes_.size());
@@ -290,6 +312,9 @@ Network::Network(const SimConfig& cfg)
     // quiescent simply never re-arm (a dead node's router among them).
     auto& slot0 = wheel_[0];
     for (NodeId i = 0; i < n; ++i) slot0[i >> 6] |= 1ull << (i & 63);
+    // Every PE is due at cycle 0 too; its first step arms the next.
+    pe_due_.assign(static_cast<std::size_t>(n), 0);
+    for (NodeId i = 0; i < n; ++i) pes_[i]->set_due_slot(&pe_due_[i]);
   }
 
   // Per-link analytics (DESIGN.md §4.14). Allocated only when asked for:
@@ -616,14 +641,21 @@ void Network::mark_wire_live(std::uint32_t wid) {
 //  * wires hold a signal for exactly one cycle, so only wires with
 //    something in flight need ticking — an untouched wire's tick is a
 //    no-op by construction;
-//  * PEs are stepped unconditionally (synthetic sources draw RNG every
-//    cycle; a sourceless idle PE's step changes nothing).
+//  * a PE is stepped only when due: next cycle while it can send or start
+//    a pending packet, at a credit its router returned, at an enqueue, or
+//    at its source's armed cycle. Sources draw their injection coins
+//    ahead (TrafficSource), so a skipped step draws nothing the scan
+//    kernel's step would have, and a step outside those cases is a no-op.
 
 void Network::step_event() {
   fire_due_events();
   release_due_trace();
   for (NodeId i = 0; i < static_cast<NodeId>(pes_.size()); ++i) {
-    if (!topo_.router_alive(i)) continue;  // Dead node: PE is off.
+    if (pe_due_[i] > now_) continue;
+    if (!topo_.router_alive(i)) {  // Dead node: PE is off.
+      pe_due_[i] = kNever;
+      continue;
+    }
     if (pes_[i]->step(now_, next_packet_id_,
                       recovery_line_ || routers_[i]->in_recovery())) {
       // The PE drove the injection wire: the router consumes next cycle.
@@ -679,8 +711,10 @@ void Network::step_event() {
            m &= static_cast<std::uint8_t>(m - 1)) {
         const int d = std::countr_zero(static_cast<unsigned>(m));
         if (d == kLocalPort) {
-          // Credit back to the PE; PEs step every cycle regardless.
+          // Credit back to the PE: it must read it next cycle, before the
+          // wire's next tick drops it.
           mark_wire_live(local_wire_id(i));
+          pe_due_[i] = std::min(pe_due_[i], now_ + 1);
           continue;
         }
         const auto nb = topo_.neighbor(i, static_cast<Direction>(d));

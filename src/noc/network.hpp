@@ -48,6 +48,10 @@ class ProcessingElement {
   /// marks the wire live.
   bool step(Cycle now, PacketId& next_packet_id, bool router_in_recovery);
 
+  /// Registers the event kernel's due cycle for this PE. step() writes
+  /// the next cycle it must run at; enqueue_packet() writes 0 (due now).
+  void set_due_slot(Cycle* slot) { due_slot_ = slot; }
+
   /// Queues a pre-built packet for injection (tests / examples). Front
   /// insertion is used by the E2E retransmission path.
   void enqueue_packet(std::vector<Flit> flits, bool front = false);
@@ -75,6 +79,14 @@ class ProcessingElement {
     std::deque<Flit> flits;
   };
 
+  /// Drives at most one flit onto the PE-to-router wire.
+  bool send_flit(Cycle now);
+  /// The first cycle after `now` at which a step could change state: next
+  /// cycle while a lane can send or a pending packet has a free lane (the
+  /// recovery gate may lift any cycle), else the source's next due cycle.
+  /// Credits and enqueued packets wake the PE from outside.
+  Cycle next_due(Cycle now) const;
+
   NodeId self_;
   const SimConfig& cfg_;
   Wire* wire_;
@@ -84,6 +96,7 @@ class ProcessingElement {
   std::vector<Lane> lanes_;
   int send_rotation_ = 0;
   std::unordered_map<PacketId, std::vector<Flit>> e2e_buffer_;
+  Cycle* due_slot_ = nullptr;
 };
 
 /// Observer invoked for every delivered (clean) message:
@@ -179,8 +192,9 @@ class Network {
   void step_scan();
   /// The event kernel: routers are stepped only when scheduled (wire
   /// traffic written toward them last cycle, a self-requested re-tick, or
-  /// an exact timer); only live wires are ticked. Byte-identical to
-  /// step_scan() — the golden digests and the fuzz harness pin it.
+  /// an exact timer), PEs only when due (pe_due_); only live wires are
+  /// ticked. Byte-identical to step_scan() — the golden digests and the
+  /// fuzz harness pin it.
   void step_event();
   /// Schedules router `n` to be stepped at cycle `due` (> now_). Within
   /// the wheel horizon this sets a bit in the due slot's node mask;
@@ -281,6 +295,11 @@ class Network {
   /// else a local (PE) wire. Mask is the dedup bitset for the list.
   std::vector<std::uint32_t> live_wires_;
   std::vector<std::uint64_t> live_wire_mask_;
+  /// Per node, the next cycle its PE must be stepped (DESIGN.md §4.10):
+  /// written by the PE itself after each step and on enqueue, lowered to
+  /// next cycle by a credit its router returns. Scanned in node order,
+  /// which keeps the scan's packet-id assignment order.
+  std::vector<Cycle> pe_due_;
   /// Incrementally maintained buffer-occupancy totals (the sampling scan
   /// only stepped routers can change their term). Slot totals are constant
   /// after construction and cached on first use.

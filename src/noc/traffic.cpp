@@ -52,6 +52,18 @@ TrafficSource::TrafficSource(const Topology& topo, NodeId self,
   FTNOC_CHECK(generate_prob_ <= 1.0);
 }
 
+void TrafficSource::arm(Cycle from) {
+  for (Cycle c = from; c < from + kLookAheadChunk; ++c) {
+    if (rng_.bernoulli(generate_prob_)) {
+      armed_ = c;
+      fires_ = true;
+      return;
+    }
+  }
+  armed_ = from + kLookAheadChunk;
+  fires_ = false;
+}
+
 std::vector<Flit> TrafficSource::build_packet(PacketId pid, NodeId src,
                                               NodeId dest, int packet_length,
                                               Cycle birth, Rng* payload_rng) {
@@ -79,10 +91,17 @@ std::vector<Flit> TrafficSource::build_packet(PacketId pid, NodeId src,
 
 std::optional<std::vector<Flit>> TrafficSource::maybe_generate(
     Cycle now, PacketId& next_packet_id) {
-  if (!rng_.bernoulli(generate_prob_)) return std::nullopt;
+  FTNOC_DCHECK(now <= armed_);
+  if (now != armed_) return std::nullopt;
+  if (!fires_) {
+    arm(now);  // Checkpoint: the coin of `now` is the next one drawn.
+    if (armed_ != now) return std::nullopt;
+  }
   const NodeId dest = pick_destination(topo_, pattern_, self_, rng_);
-  return build_packet(next_packet_id++, self_, dest, packet_length_, now,
-                      &rng_);
+  auto pkt = build_packet(next_packet_id++, self_, dest, packet_length_, now,
+                          &rng_);
+  arm(now + 1);
+  return pkt;
 }
 
 }  // namespace ftnoc

@@ -17,9 +17,18 @@
 //   3. Probe timeouts and own-probe GC      (deadlock recovery, the one
 //      exact WakeInfo::timer)
 //   4. Drain-then-kill completion           (runtime link escalation)
+//
+// PEs sleep too: the event kernel steps one only when it is due. The
+// PeWake tests below cover each way a sleeping PE is woken — its
+// source's armed cycle (including look-ahead checkpoints), an E2E NACK
+// requeue, a packet enqueued between steps — and the one reason a PE
+// with nothing to send stays due: pending packets held back by the
+// deadlock-recovery gate, which can lift on any cycle. The fourth wake, a
+// credit returned to the PE, is on every injecting test in this file.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -278,6 +287,118 @@ TEST(EventWakeup, FaultedTopologyLockstep) {
   cfg.dead_routers.push_back(10);
   KernelPair nets(cfg);
   nets.run(3000);
+}
+
+// The source's armed cycle: gaps far beyond the 256-cycle wheel and the
+// look-ahead chunk, so PEs sleep across no-fire checkpoints. A PE that
+// slept through its source's armed cycle or a checkpoint would never
+// inject again.
+TEST(PeWake, SourceGapsBeyondLookAheadChunk) {
+  SimConfig cfg = sparse_base();
+  cfg.mesh_width = 2;
+  cfg.mesh_height = 2;
+  cfg.injection_rate = 0.0005;  // One packet per ~8000 cycles per PE.
+  KernelPair nets(cfg);
+  std::vector<std::vector<Cycle>> births(4);
+  nets.event->set_delivery_listener(
+      [&](NodeId, const Flit& tail, Cycle) {
+        births[tail.src].push_back(tail.birth_cycle);
+      });
+  nets.run(60'000);
+  Cycle max_gap = 0;
+  for (const auto& b : births) {
+    for (std::size_t k = 1; k < b.size(); ++k) {
+      max_gap = std::max(max_gap, b[k] - b[k - 1]);
+    }
+  }
+  EXPECT_GT(nets.event->stats().messages_ejected(), 10u);
+  EXPECT_GT(max_gap, TrafficSource::kLookAheadChunk)
+      << "no gap outran the look-ahead chunk";
+}
+
+// An E2E NACK requeues a clean copy at the front of a source PE that is
+// most likely asleep at this load; the requeue must wake it.
+TEST(PeWake, E2eNackRequeueAtLowLoad) {
+  SimConfig cfg = sparse_base();
+  cfg.protection = LinkProtection::kE2e;
+  cfg.injection_rate = 0.01;
+  cfg.faults.link_error_rate = 0.01;
+  cfg.faults.multi_bit_fraction = 0.5;  // Uncorrectable: real NACKs.
+  KernelPair nets(cfg);
+  EXPECT_GT(nets.run(6000).e2e_retransmits(), 0u)
+      << "scenario requeued no E2E retransmission";
+}
+
+// Packets handed straight to a PE between steps (the Network::pe()
+// surface) must wake it: the sourceless PEs here would otherwise sleep
+// forever.
+TEST(PeWake, EnqueueBetweenSteps) {
+  SimConfig cfg = sparse_base();
+  cfg.injection_rate = 0.0;
+  KernelPair nets(cfg);
+  PacketId pid = 1;
+  for (Cycle at : {Cycle{0}, Cycle{40}, Cycle{41}, Cycle{700}, Cycle{1500}}) {
+    while (nets.event->now() < at) {
+      nets.scan->step();
+      nets.event->step();
+      ASSERT_EQ(nets.scan->state_digest(), nets.event->state_digest())
+          << "diverged at cycle " << nets.event->now();
+    }
+    const auto src = static_cast<NodeId>(at % 16);
+    const auto dest = static_cast<NodeId>((at + 5) % 16);
+    for (Network* net : {&*nets.scan, &*nets.event}) {
+      net->pe(src).enqueue_packet(
+          TrafficSource::build_packet(pid, src, dest, 4, at, nullptr));
+    }
+    ++pid;
+  }
+  EXPECT_EQ(nets.run(1000).messages_ejected(), 5u)
+      << "an enqueued packet was never delivered";
+}
+
+// Deadlock recovery gates new packets chip-wide. A PE whose pending
+// packets are held back only by that gate has nothing to send, yet must
+// stay due: the gate lifts on a cycle no wake announces. The 2x2 cyclic
+// burst of ProbeGcAfterTrafficDrains deadlocks for real; a deep queue of
+// short packets behind it is still pending when recovery runs.
+TEST(PeWake, RecoveryGatedPendingPe) {
+  SimConfig cfg = sparse_base();
+  cfg.mesh_width = 2;
+  cfg.mesh_height = 2;
+  cfg.num_vcs = 1;
+  cfg.injection_rate = 0.0;
+  cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
+  cfg.deadlock.enable_recovery = true;
+  cfg.deadlock.probe_threshold = 24;
+  cfg.deadlock.probe_backoff = 16;
+  KernelPair nets(cfg);
+  for (int i = 0; i < 24; ++i) {
+    for (const auto& [src, dst] : {std::pair<NodeId, NodeId>{0, 3},
+                                   {1, 2}, {3, 0}, {2, 1}}) {
+      nets.scan->inject_packet(src, dst, 4);
+      nets.event->inject_packet(src, dst, 4);
+    }
+  }
+  // Count the cycles on which some router recovers while a PE still
+  // holds pending packets — the gated state this test is about.
+  int gated_cycles = 0;
+  for (Cycle c = 0; c < 3000; ++c) {
+    nets.scan->step();
+    nets.event->step();
+    ASSERT_EQ(nets.scan->state_digest(), nets.event->state_digest())
+        << "diverged at cycle " << nets.event->now();
+    bool recovering = false;
+    bool pending = false;
+    for (NodeId n = 0; n < 4; ++n) {
+      recovering = recovering || nets.event->router_base(n).in_recovery();
+      pending = pending || nets.event->pe(n).pending_packets() > 0;
+    }
+    if (recovering && pending) ++gated_cycles;
+  }
+  EXPECT_GT(nets.event->stats().recoveries_entered(), 0u)
+      << "burst never deadlocked";
+  EXPECT_GT(gated_cycles, 0) << "no PE was held back by recovery";
+  EXPECT_EQ(nets.event->stats().messages_ejected(), 96u);
 }
 
 }  // namespace

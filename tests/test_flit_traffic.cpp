@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <tuple>
+#include <vector>
 
+#include "common/config.hpp"
 #include "common/rng.hpp"
+#include "noc/network.hpp"
 #include "noc/traffic.hpp"
 
 namespace ftnoc {
@@ -130,6 +135,110 @@ TEST(TrafficSource, PacketIdsAdvance) {
   Cycle now = 0;
   while (!src.maybe_generate(now, pid)) ++now;
   EXPECT_GT(pid, 10u);
+}
+
+// One generated packet as the event kernel sees it: the cycle it fired
+// and every field its flits carry from the source's draws.
+using Injection =
+    std::tuple<Cycle, PacketId, NodeId, std::vector<std::uint64_t>>;
+
+Injection injection(Cycle c, const std::vector<Flit>& flits) {
+  std::vector<std::uint64_t> payloads;
+  for (const Flit& f : flits) payloads.push_back(f.payload);
+  return {c, flits.front().packet_id, flits.front().dest,
+          std::move(payloads)};
+}
+
+// The look-ahead pin: a TrafficSource that draws its gap ahead must
+// produce exactly the (cycle, packet) sequence of the per-cycle coin it
+// replaced — one bernoulli(p) per cycle, then the destination and payload
+// draws at the firing cycle. It must do so whether it is called every
+// cycle (the scan kernel) or only at next_due() (a sleeping PE under the
+// event kernel). The rates cover busy sources, gaps beyond the 256-cycle
+// wheel and gaps beyond the look-ahead chunk (no-fire checkpoints), and a
+// source that fires every cycle.
+TEST(TrafficSource, LookAheadMatchesPerCycleCoins) {
+  Topology t(4, 4, false);
+  struct Case {
+    double rate;
+    int len;
+    Cycle cycles;
+  };
+  for (const Case& k : {Case{0.3, 4, 20'000}, Case{0.0005, 1, 60'000},
+                        Case{0.0001, 1, 120'000}, Case{4.0, 4, 200}}) {
+    SCOPED_TRACE(k.rate);
+    const double p = k.rate / k.len;
+    std::vector<Injection> want;
+    {
+      Rng rng(11);
+      PacketId pid = 1;
+      for (Cycle c = 0; c < k.cycles; ++c) {
+        if (!rng.bernoulli(p)) continue;
+        const NodeId dest =
+            pick_destination(t, TrafficPattern::kUniformRandom, 5, rng);
+        want.push_back(injection(
+            c, TrafficSource::build_packet(pid++, 5, dest, k.len, c, &rng)));
+      }
+    }
+    ASSERT_GT(want.size(), 5u) << "scenario generated almost no packets";
+
+    std::vector<Injection> every_cycle;
+    {
+      TrafficSource src(t, 5, TrafficPattern::kUniformRandom, k.rate, k.len,
+                        Rng(11));
+      PacketId pid = 1;
+      for (Cycle c = 0; c < k.cycles; ++c) {
+        if (auto pkt = src.maybe_generate(c, pid)) {
+          every_cycle.push_back(injection(c, *pkt));
+        }
+      }
+    }
+    EXPECT_EQ(every_cycle, want);
+
+    std::vector<Injection> only_due;
+    Cycle max_gap = 0;
+    bool checkpointed = false;
+    {
+      TrafficSource src(t, 5, TrafficPattern::kUniformRandom, k.rate, k.len,
+                        Rng(11));
+      PacketId pid = 1;
+      Cycle last = 0;
+      for (Cycle c = src.next_due(); c < k.cycles; c = src.next_due()) {
+        if (auto pkt = src.maybe_generate(c, pid)) {
+          only_due.push_back(injection(c, *pkt));
+          max_gap = std::max(max_gap, c - last);
+          last = c;
+        } else {
+          checkpointed = true;
+        }
+        ASSERT_GT(src.next_due(), c);
+        ASSERT_LE(src.next_due(), c + TrafficSource::kLookAheadChunk + 1);
+      }
+    }
+    EXPECT_EQ(only_due, want);
+    if (k.rate == 0.0001) {
+      EXPECT_TRUE(checkpointed) << "no gap outran the look-ahead chunk";
+      EXPECT_GT(max_gap, TrafficSource::kLookAheadChunk);
+    }
+  }
+}
+
+// A vanishing rate must not turn the look-ahead into a 10^12-draw loop:
+// the chunk bound keeps it at one draw per cycle, as the per-cycle coin
+// was, under both kernels.
+TEST(TrafficSource, VanishingRateCompletesItsCycles) {
+  for (const bool scan : {false, true}) {
+    SimConfig cfg;
+    cfg.mesh_width = 4;
+    cfg.mesh_height = 4;
+    cfg.injection_rate = 1e-12;
+    cfg.force_scan_kernel = scan;
+    Network net(cfg);
+    const Cycle cycles = 3 * TrafficSource::kLookAheadChunk + 17;
+    for (Cycle c = 0; c < cycles; ++c) net.step();
+    EXPECT_EQ(net.now(), cycles);
+    EXPECT_EQ(net.stats().packets_created(), 0u);
+  }
 }
 
 }  // namespace

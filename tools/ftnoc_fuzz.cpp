@@ -24,10 +24,16 @@
 // deadlock waiters). `drop_window` changes no network's output, so its
 // proof is a scripted router unit test instead, and the selftest refuses
 // it. A malformed repro file (unknown key, invalid config, bad cycle
-// count or plant name) fails --replay with exit 2.
+// count or plant name) fails --replay with exit 2, and so does a numeric
+// flag that is not a whole, in-range number.
+//
+// --runs 0 fuzzes until the time budget ends and then exits 0. With
+// --runs N > 0, a budget that ends before N configs are checked exits 3:
+// the search asked for was not done.
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -140,7 +146,15 @@ bool is_fault_override(const std::string& o) {
 // Randomized configuration generation. Every knob is emitted as an
 // explicit override so the repro file is self-contained; generation
 // retries until validate() accepts the combination.
-std::vector<std::string> random_config(Rng& rng) {
+//
+// About a quarter of configs replace the injection rate with a low band
+// (0.002–0.02 flits/node/cycle), where the event kernel's PEs sleep for
+// long stretches between injections. That choice is drawn from `band`, a
+// stream of its own, so every other field of every config is the one
+// `rng` alone would give.
+std::vector<std::string> random_config(Rng& rng, Rng& band) {
+  std::optional<double> low_rate;
+  if (band.bernoulli(0.25)) low_rate = 0.002 + 0.018 * band.next_double();
   for (;;) {
     std::vector<std::string> ov;
     auto add = [&](const std::string& k, const std::string& v) {
@@ -158,8 +172,9 @@ std::vector<std::string> random_config(Rng& rng) {
     add("retransmission_depth", std::to_string(3 + rng.next_below(4)));
     add("packet_length", std::to_string(3 + rng.next_below(4)));    // 3..6
     {
+      const double rate = 0.05 + 0.35 * rng.next_double();
       std::ostringstream r;
-      r << (0.05 + 0.35 * rng.next_double());
+      r << low_rate.value_or(rate);
       add("injection_rate", r.str());
     }
     static const char* kProt[] = {"none", "fec", "e2e", "hbh", "hbh"};
@@ -317,13 +332,22 @@ void write_repro(const std::string& path, const std::vector<std::string>& ov,
   for (const auto& o : ov) f << o << "\n";
 }
 
-// Parses a repro cycle count: decimal digits only, at least 1, no
-// overflow.
-std::optional<Cycle> parse_cycles(std::string_view text) {
-  Cycle v = 0;
+// Parses a whole decimal number: no sign where T is unsigned, no trailing
+// junk, no overflow.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T v{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc() || ptr != end || v == 0) return std::nullopt;
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+// Parses a cycle count (a repro's or --cycles): decimal digits only, at
+// least 1, no overflow.
+std::optional<Cycle> parse_cycles(std::string_view text) {
+  const auto v = parse_number<Cycle>(text);
+  if (!v || *v == 0) return std::nullopt;
   return v;
 }
 
@@ -409,14 +433,23 @@ int fuzz_main(const Options& opt) {
       t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                std::chrono::duration<double>(opt.time_budget_sec));
 
-  for (int i = 0; i < opt.runs; ++i) {
+  for (int i = 0; opt.runs == 0 || i < opt.runs; ++i) {
     if (std::chrono::steady_clock::now() > deadline) {
-      std::printf("time budget exhausted after %d run(s); no finding\n", i);
-      return opt.selftest ? 1 : 0;
+      if (opt.runs == 0) {
+        std::printf("%d run(s) in the time budget, no finding\n", i);
+        return 0;
+      }
+      std::printf("ftnoc_fuzz: time budget exhausted after %d of %d run(s); "
+                  "no finding so far\n",
+                  i, opt.runs);
+      return opt.selftest ? 1 : 3;
     }
-    Rng rng(Rng::derive_seed(opt.seed, static_cast<std::uint64_t>(i)));
+    const std::uint64_t run_seed =
+        Rng::derive_seed(opt.seed, static_cast<std::uint64_t>(i));
+    Rng rng(run_seed);
+    Rng band(Rng::derive_seed(run_seed, 1));
     const std::vector<std::string> ov =
-        opt.selftest ? *plant_habitat(opt.plant, i) : random_config(rng);
+        opt.selftest ? *plant_habitat(opt.plant, i) : random_config(rng, band);
     if (std::getenv("FTNOC_FUZZ_TRACE")) {
       std::fprintf(stderr, "run %d:", i);
       for (const auto& o : ov) std::fprintf(stderr, " %s", o.c_str());
@@ -493,14 +526,32 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : "";
     };
+    // A numeric flag's value must be a whole, in-range number.
+    auto bad = [&](const char* value, const char* want) {
+      std::fprintf(stderr, "ftnoc_fuzz: bad %s '%s' (want %s)\n", a.c_str(),
+                   value, want);
+      return 2;
+    };
     if (a == "--runs") {
-      opt.runs = std::atoi(next());
+      const char* text = next();
+      const auto v = parse_number<int>(text);
+      if (!v || *v < 0) return bad(text, "an integer >= 0");
+      opt.runs = *v;
     } else if (a == "--cycles") {
-      opt.cycles = static_cast<Cycle>(std::atoll(next()));
+      const char* text = next();
+      const auto v = parse_cycles(text);
+      if (!v) return bad(text, "an integer >= 1");
+      opt.cycles = *v;
     } else if (a == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      const char* text = next();
+      const auto v = parse_number<std::uint64_t>(text);
+      if (!v) return bad(text, "an unsigned 64-bit integer");
+      opt.seed = *v;
     } else if (a == "--time-budget") {
-      opt.time_budget_sec = std::atof(next());
+      const char* text = next();
+      const auto v = parse_number<double>(text);
+      if (!v || !std::isfinite(*v) || *v < 0) return bad(text, "seconds >= 0");
+      opt.time_budget_sec = *v;
     } else if (a == "--out") {
       opt.out = next();
     } else if (a == "--plant") {
@@ -517,7 +568,8 @@ int main(int argc, char** argv) {
       opt.replay = next();
     } else {
       std::fprintf(stderr,
-                   "usage: ftnoc_fuzz [--runs N] [--cycles N] [--seed S]\n"
+                   "usage: ftnoc_fuzz [--runs N (0: until the budget)]\n"
+                   "                  [--cycles N] [--seed S]\n"
                    "                  [--time-budget SEC] [--out FILE]\n"
                    "                  [--plant NAME] [--selftest]\n"
                    "                  [--replay FILE]\n");
