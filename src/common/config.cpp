@@ -1,6 +1,8 @@
 #include "common/config.hpp"
 
+#include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace ftnoc {
@@ -158,7 +160,8 @@ std::optional<std::string> SimConfig::validate() const {
     // The dedicated ST stage adds one in-flight cycle to the NACK loop.
     return err("retransmission_depth must be >= 4 for a 4-stage router");
   }
-  if (injection_rate < 0.0 || injection_rate > static_cast<double>(num_vcs)) {
+  // Written so that NaN fails it.
+  if (!(injection_rate >= 0.0 && injection_rate <= num_vcs)) {
     return err("injection_rate out of range");
   }
   if (packet_length < 1) return err("packet_length must be >= 1");
@@ -286,10 +289,20 @@ bool parse_dir(const std::string& v, Direction& out) {
   }
 }
 
-bool parse_double(const std::string& v, double& out) {
+/// A finite double. Returns null on success, else why `v` is refused:
+/// NaN and infinities pass no range check written as `x < lo || x > hi`,
+/// and a value strtod can only round to 0 or to infinity (ERANGE) would
+/// silently read as another number.
+const char* parse_double(const std::string& v, double& out) {
   char* end = nullptr;
-  out = std::strtod(v.c_str(), &end);
-  return end == v.c_str() + v.size() && !v.empty();
+  errno = 0;
+  const double x = std::strtod(v.c_str(), &end);
+  if (v.empty() || end != v.c_str() + v.size()) return "not a number";
+  if (std::isnan(x)) return "NaN";
+  if (errno == ERANGE) return "out of double range";
+  if (std::isinf(x)) return "infinite";
+  out = x;
+  return nullptr;
 }
 
 bool parse_bool(const std::string& v, bool& out) {
@@ -314,8 +327,15 @@ std::optional<std::string> apply_override(SimConfig& cfg,
   }
   const std::string key = assignment.substr(0, eq);
   const std::string val = assignment.substr(eq + 1);
-  auto bad = [&]() -> std::optional<std::string> {
-    return "bad value for " + key + ": " + val;
+  auto bad = [&](const char* why = nullptr) -> std::optional<std::string> {
+    std::string msg = "bad value for " + key + ": " + val;
+    if (why != nullptr) msg += std::string(" (") + why + ")";
+    return msg;
+  };
+  // Parses a finite double into `out`, or names why not.
+  auto real = [&](double& out) -> std::optional<std::string> {
+    if (const char* why = parse_double(val, out)) return bad(why);
+    return std::nullopt;
   };
 
   if (key == "mesh_width") {
@@ -345,7 +365,7 @@ std::optional<std::string> apply_override(SimConfig& cfg,
   } else if (key == "damq_reserve_slots") {
     if (!parse_int(val, cfg.damq_reserve_slots)) return bad();
   } else if (key == "injection_rate") {
-    if (!parse_double(val, cfg.injection_rate)) return bad();
+    if (auto e = real(cfg.injection_rate)) return e;
   } else if (key == "packet_length") {
     if (!parse_int(val, cfg.packet_length)) return bad();
   } else if (key == "pattern") {
@@ -385,19 +405,19 @@ std::optional<std::string> apply_override(SimConfig& cfg,
   } else if (key == "ecc_detect_only") {
     if (!parse_bool(val, cfg.ecc_detect_only)) return bad();
   } else if (key == "link_error_rate") {
-    if (!parse_double(val, cfg.faults.link_error_rate)) return bad();
+    if (auto e = real(cfg.faults.link_error_rate)) return e;
   } else if (key == "multi_bit_fraction") {
-    if (!parse_double(val, cfg.faults.multi_bit_fraction)) return bad();
+    if (auto e = real(cfg.faults.multi_bit_fraction)) return e;
   } else if (key == "rt_error_rate") {
-    if (!parse_double(val, cfg.faults.rt_error_rate)) return bad();
+    if (auto e = real(cfg.faults.rt_error_rate)) return e;
   } else if (key == "va_error_rate") {
-    if (!parse_double(val, cfg.faults.va_error_rate)) return bad();
+    if (auto e = real(cfg.faults.va_error_rate)) return e;
   } else if (key == "sa_error_rate") {
-    if (!parse_double(val, cfg.faults.sa_error_rate)) return bad();
+    if (auto e = real(cfg.faults.sa_error_rate)) return e;
   } else if (key == "rtx_error_rate") {
-    if (!parse_double(val, cfg.faults.rtx_error_rate)) return bad();
+    if (auto e = real(cfg.faults.rtx_error_rate)) return e;
   } else if (key == "handshake_error_rate") {
-    if (!parse_double(val, cfg.faults.handshake_error_rate)) return bad();
+    if (auto e = real(cfg.faults.handshake_error_rate)) return e;
   } else if (key == "duplicate_rtx_buffers") {
     if (!parse_bool(val, cfg.duplicate_rtx_buffers)) return bad();
   } else if (key == "tmr_handshaking") {

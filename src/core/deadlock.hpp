@@ -28,6 +28,7 @@
 // with M flits/packet, N the max number of distinct packets a transmission
 // buffer can hold times nodes... see `recovery_buffer_bound_ok`.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -85,6 +86,19 @@ class DeadlockAgent {
     // No outstanding probe, or it was discarded along a non-deadlocked
     // path and timed out — a fresh probe may launch (subject to backoff).
     return !ever_probed_ || now >= last_probe_cycle_ + probe_backoff_;
+  }
+  /// The first cycle at which a VC that last advanced at `last_advance`
+  /// passes should_probe(), if nothing changes until then: past the
+  /// threshold, past the live probe's timeout and out of backoff. Only
+  /// meaningful outside recovery (a recovering agent never probes). The
+  /// event kernel wakes a sleeping router then (DESIGN.md §4.10).
+  Cycle earliest_probe(Cycle last_advance) const {
+    Cycle at = last_advance + probe_threshold_ + 1;
+    if (outstanding_.has_value()) {
+      at = std::max(at, outstanding_since_ + probe_timeout_ + 1);
+    }
+    if (ever_probed_) at = std::max(at, last_probe_cycle_ + probe_backoff_);
+    return at;
   }
   /// Mints a new probe originating here; remembers it as outstanding.
   ProbeSignal make_probe(PortId target_port, VcId target_vc, Cycle now);

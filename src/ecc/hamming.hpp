@@ -15,8 +15,10 @@ namespace ftnoc::ecc {
 
 /// A 72-bit codeword: `lo` holds bit positions 0..63, `hi` positions 64..71.
 /// bit()/flip() are inline — they sit on the fault-injection and decode hot
-/// paths (one call per corrupted bit per flit per hop).
-struct Codeword {
+/// paths (one call per corrupted bit per flit per hop). Packed to 9 bytes
+/// so a Flit fits one cache line; members are read and written by value
+/// only (a reference to a packed member may be misaligned).
+struct [[gnu::packed]] Codeword {
   std::uint64_t lo = 0;
   std::uint8_t hi = 0;
 
@@ -34,6 +36,8 @@ struct Codeword {
     }
   }
 };
+
+static_assert(sizeof(Codeword) == 9, "72 bits in 9 bytes");
 
 inline constexpr int kCodewordBits = 72;
 inline constexpr int kDataBits = 64;

@@ -481,10 +481,14 @@ bool Network::try_kill_link(NodeId n, Direction dir, bool storm) {
   routers_[n]->begin_link_drain(static_cast<PortId>(dir), now_);
   routers_[*nb]->begin_link_drain(static_cast<PortId>(opposite(dir)), now_);
   if (!scan_kernel_) {
-    // A granted kill puts both endpoints back on the schedule until their
+    // A granted kill moves the route epoch, and every router re-homes its
+    // waiting heads on its next step — next cycle under the scan kernel.
+    // So all of them step next cycle, including routers asleep on a
+    // blocked head; both endpoints then stay scheduled until their
     // drains complete.
-    schedule(n, now_ + 1);
-    schedule(*nb, now_ + 1);
+    for (NodeId i = 0; i < static_cast<NodeId>(routers_.size()); ++i) {
+      schedule(i, now_ + 1);
+    }
   }
   return true;
 }
@@ -634,10 +638,14 @@ void Network::mark_wire_live(std::uint32_t wid) {
 //  * a router is stepped at cycle t iff a signal written at t-1 is readable
 //    on one of its wires this cycle (the writer's wake masks), its own
 //    retained state demands it (retick — the internal half of the
-//    quiescent() predicate), or its one exact timer (own-probe GC) is due;
+//    quiescent() predicate, less a router whose busy VCs are all blocked),
+//    its earliest timer is due, or a link kill moved the route epoch;
 //  * every step the scan kernel would *not* fast-path away falls in that
-//    set, and extra steps hit the quiescent fast path, which is a pinned
-//    no-op (no RNG draws, charges, stats or arbiter movement);
+//    set, or is a blocked router's no-op step, which only advances VA
+//    rotations that the next real step catches up (and state_digest
+//    reports caught up); extra steps hit the quiescent fast path, a pinned
+//    no-op (no RNG draws, charges, stats or arbiter movement), or are
+//    exactly the scan kernel's step;
 //  * wires hold a signal for exactly one cycle, so only wires with
 //    something in flight need ticking — an untouched wire's tick is a
 //    no-op by construction;
@@ -812,7 +820,7 @@ std::uint64_t Network::state_digest() const {
   h.mix(static_cast<std::uint64_t>(now_));
   h.mix(next_packet_id_);
   h.mix(recovery_line_);
-  for (const auto& r : routers_) h.mix(r->state_digest());
+  for (const auto& r : routers_) h.mix(r->state_digest(now_));
   for (const auto& w : link_wires_) {
     h.mix(w != nullptr);
     if (w) mix_wire(h, *w);

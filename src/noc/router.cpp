@@ -200,9 +200,10 @@ void Router::rehome_stale_routes(Cycle now) {
   // instead of allocating on a stale candidate set. Sets that merely
   // shift keep waiting (the VA re-filters them next cycle); a set that
   // collapses to empty goes back to kRouting, where phase_rt drops the
-  // packet with the usual unreachable accounting. kVaWait implies the
-  // in_work_ bit, which both kernels treat as a mandatory re-tick — so
-  // scan and event runs observe every epoch at the same cycle.
+  // packet with the usual unreachable accounting. An accepted kill wakes
+  // every router next cycle under the event kernel, also one asleep on a
+  // blocked head — so scan and event runs observe every epoch at the same
+  // cycle.
   for (std::uint32_t m = in_work_; m != 0; m &= m - 1) {
     const int g = std::countr_zero(m);
     auto& vc = inputs_[static_cast<std::size_t>(g)];
@@ -243,12 +244,25 @@ bool Router::quiescent() const {
   return ((iw & 0x1919191919191919ULL) | (ow & 0x0606060606060606ULL)) == 0;
 }
 
+Cycle Router::probe_gc_due() const {
+  // The own-probe bookkeeping GC in phase_deadlock first fires at sent_at
+  // + probe_timeout + 1. The agent's outstanding probe is spared by the
+  // GC, and it can only stop being outstanding during a stepped cycle
+  // (probe return or a fresh probe) — after which the timer re-arms.
+  Cycle due = 0;
+  const auto& live = agent_.outstanding_probe();
+  for (const auto& [pid, r] : own_probe_route_) {
+    if (live.has_value() && *live == pid) continue;
+    const Cycle d = r.sent_at + agent_.probe_timeout() + 1;
+    if (due == 0 || d < due) due = d;
+  }
+  return due;
+}
+
 WakeInfo Router::take_wake_info() {
   WakeInfo w;
   w.wrote_fwd = wrote_fwd_;
   w.wrote_back = wrote_back_;
-  wrote_fwd_ = 0;
-  wrote_back_ = 0;
   // Internal-state half of the quiescent() predicate: any of these means
   // next cycle's step() is (or may be) a state-changing one even with no
   // wire traffic. Wire arrivals are covered by the writer's wake masks.
@@ -256,23 +270,112 @@ WakeInfo Router::take_wake_info() {
              draining_ != 0 || !pending_nacks_.empty() ||
              !outbox_.empty() || progress_this_cycle_ ||
              agent_.in_recovery();
-  if (!w.retick && !own_probe_route_.empty()) {
+  if (!w.retick) {
     // The only delayed action an otherwise-idle router performs is the
-    // own-probe bookkeeping GC in phase_deadlock, which first fires at
-    // sent_at + probe_timeout + 1. The agent's outstanding probe is spared
-    // by the GC, and it can only stop being outstanding during a stepped
-    // cycle (probe return or a fresh probe) — after which this re-arms.
-    const auto& live = agent_.outstanding_probe();
-    for (const auto& [pid, r] : own_probe_route_) {
-      if (live.has_value() && *live == pid) continue;
-      const Cycle due = r.sent_at + agent_.probe_timeout() + 1;
-      if (w.timer == 0 || due < w.timer) w.timer = due;
-    }
+    // own-probe GC.
+    if (!own_probe_route_.empty()) w.timer = probe_gc_due();
+  } else if ((wrote_fwd_ | wrote_back_) == 0 &&
+             blocked_sleep(w.timer, asleep_rot_)) {
+    // Busy but blocked: sleep until a wire or the earliest timer. A step
+    // that wrote a wire is left to re-tick — its neighbours are about to
+    // answer, and the check would rarely pay for itself.
+    w.retick = false;
   }
+  wrote_fwd_ = 0;
+  wrote_back_ = 0;
   return w;
 }
 
+bool Router::blocked_sleep(Cycle& timer, std::uint32_t& rot) const {
+  // Everything here is read after step(last_step_) and holds for every
+  // later cycle until a wire or a timer changes it: no state moves while
+  // the router sleeps, and the only time-dependent gates are the stall
+  // windows, the barrel deadlines and the probe timers armed below.
+  if (staged_count_ != 0 || draining_ != 0 || !pending_nacks_.empty() ||
+      !outbox_.empty() || progress_this_cycle_ || agent_.in_recovery()) {
+    return false;
+  }
+  const Cycle next = last_step_ + 1;
+  Cycle due = std::numeric_limits<Cycle>::max();
+  Cycle probe_anchor = std::numeric_limits<Cycle>::max();
+  std::uint32_t bump = 0;
+  for (std::uint32_t m = in_work_; m != 0; m &= m - 1) {
+    const int g = std::countr_zero(m);
+    const InputVc& vc = inputs_[static_cast<std::size_t>(g)];
+    if (vc.state != VcState::kActive && vc.state != VcState::kVaWait) {
+      return false;  // Routing, draining or absorbing: it moves by itself.
+    }
+    if (vc.buf.empty()) {
+      if (vc.state == VcState::kVaWait) return false;
+      continue;  // An open wormhole waiting for its next flit on a wire.
+    }
+    // Rule 1 probes anchor on any blocked VC with a dependency chain.
+    if (cfg_.deadlock.enable_recovery && vc.last_advance < probe_anchor &&
+        resolve_chain(vc)) {
+      probe_anchor = vc.last_advance;
+    }
+    if (vc.stall_until > next) {
+      // SA and VA skip the VC until its stall ends, and the VA rotation
+      // only advances from then on.
+      due = std::min(due, vc.stall_until);
+      continue;
+    }
+    if (vc.state == VcState::kActive) {
+      // Switch allocation needs a downstream credit; ejection never waits.
+      if (vc.out_port == kLocalPort ||
+          can_consume_credit(vc.out_port, vc.out_vc)) {
+        return false;
+      }
+      continue;
+    }
+    // A waiting head with a usable candidate but no free output VC retries
+    // next cycle, advancing only its rotation.
+    if (va_ports(vc) == 0 || va_options(vc, g) != 0) return false;
+    bump |= 1u << g;
+  }
+  for (std::uint32_t m = out_work_; m != 0; m &= m - 1) {
+    const int og = std::countr_zero(m);
+    const OutputVc& out = outputs_[static_cast<std::size_t>(og)];
+    if (out.has_waiter) return false;
+    if ((rtx_pending_mask_ >> og) & 1u) {
+      const auto& rtx = *out_rtx_[static_cast<std::size_t>(og)];
+      const auto o = static_cast<PortId>(og / num_vcs_);
+      const auto v = static_cast<VcId>(og % num_vcs_);
+      if (out.allocated && rtx.front_pending().packet_id == out.owner_pid &&
+          (rtx.front_pending_credit_held() || can_consume_credit(o, v))) {
+        return false;  // The replay goes next cycle.
+      }
+    }
+  }
+  // An allocated output whose tail was sent frees once the owner's flits
+  // leave its barrel. maybe_release_outputs() just ran, so each such
+  // barrel still holds some, and they leave only by a retire — a timer
+  // below — or a replay, ruled out above. An empty barrel would free now.
+  if ((alloc_ogs_ & tail_ogs_ & ~(rtx_sent_mask_ | rtx_pending_mask_)) != 0) {
+    return false;
+  }
+  if (rtx_sent_mask_ != 0) due = std::min(due, rtx_min_retire_);
+  if (const Cycle gc = probe_gc_due(); gc != 0) due = std::min(due, gc);
+  if (probe_anchor != std::numeric_limits<Cycle>::max()) {
+    due = std::min(due, agent_.earliest_probe(probe_anchor));
+  }
+  timer = due == std::numeric_limits<Cycle>::max() ? 0 : due;
+  rot = bump;
+  return true;
+}
+
 void Router::step(Cycle now) {
+  // Rotation catch-up: every step the event kernel skipped while this
+  // router slept blocked would have advanced these heads' VA rotation
+  // once and changed nothing else (blocked_sleep()).
+  if (asleep_rot_ != 0) {
+    const auto skipped = static_cast<std::uint32_t>(now - last_step_ - 1);
+    for (std::uint32_t m = asleep_rot_; m != 0; m &= m - 1) {
+      va_rotation_[static_cast<std::size_t>(std::countr_zero(m))] += skipped;
+    }
+    asleep_rot_ = 0;
+  }
+  last_step_ = now;
   // Drain-to-kill completion (§4.9): a draining port goes hard-dead once
   // every output VC on it is idle (no owner, no waiter, empty barrel — the
   // barrel's sent region covers the NACK window, so an empty barrel proves
@@ -748,8 +851,7 @@ void Router::phase_replay_and_switch(Cycle now) {
 
 void Router::finalize_transmission(PortId o, VcId v, const Flit& f,
                                    Cycle now) {
-  auto& out = ovc(o, v);
-  if (is_tail(f.type)) out.tail_sent = true;
+  if (is_tail(f.type)) set_tail_sent(gid(o, v), true);
   // Keep the NACK-window copy. A replay (the flit is the front pending
   // entry) always records: the pop-and-reinsert cannot overflow. For fresh
   // transmissions, the barrel may be occupied by a recovery waiter's
@@ -869,10 +971,9 @@ void Router::release_input_after_tail(PortId p, VcId v, Cycle now) {
 }
 
 void Router::maybe_release_outputs(Cycle now) {
-  for (std::uint32_t m = out_work_; m != 0; m &= m - 1) {
+  for (std::uint32_t m = alloc_ogs_ & tail_ogs_; m != 0; m &= m - 1) {
     const int og = std::countr_zero(m);
     auto& out = outputs_[static_cast<std::size_t>(og)];
-    if (!out.allocated || !out.tail_sent) continue;
     // The owner lingers while any of its flits sit in the barrel; an empty
     // barrel (per the summary masks) cannot contain the packet.
     if (((rtx_sent_mask_ | rtx_pending_mask_) >> og) & 1u) {
@@ -880,7 +981,7 @@ void Router::maybe_release_outputs(Cycle now) {
       if (rtx->contains_packet(out.owner_pid)) continue;
     }
     set_allocated(og, false);
-    out.tail_sent = false;
+    set_tail_sent(og, false);
     if (out.has_waiter) {
       // Deferred allocation (deadlock recovery): the queued waiter
       // inherits the output VC; its absorbed flits can now replay out.
@@ -908,11 +1009,16 @@ void Router::maybe_release_outputs(Cycle now) {
 // VC allocation.
 // ---------------------------------------------------------------------------
 
-int Router::pick_va_request(const InputVc& vc, int g, int rotation) const {
-  // Gather the free output VCs on all valid candidate ports as a gid mask,
-  // then pick one by the input VC's rotating preference (the input stage
-  // of a separable allocator). Set bits ascend in (port, VC) order, so the
-  // rotation indexes the options in the same order as a port-by-port scan.
+PortMask Router::va_ports(const InputVc& vc) const {
+  PortMask ports = vc.candidates & allocatable_ports();
+  if (mask_has(vc.candidates, kLocalPort) && vc.buf.front().dest == id_) {
+    ports |= port_bit(kLocalPort);
+  }
+  return ports;
+}
+
+std::uint32_t Router::va_options(const InputVc& vc, int g) const {
+  // The free output VCs on all valid candidate ports, as a gid mask.
   //
   // Escape-VC policy (Duato-style avoidance): VC 0 is the escape lane,
   // reachable only through the deadlock-free XY direction; adaptive
@@ -921,11 +1027,7 @@ int Router::pick_va_request(const InputVc& vc, int g, int rotation) const {
   // which keeps the extended channel dependency graph acyclic.
   FTNOC_DCHECK(!vc.buf.empty());
   const Flit& head = vc.buf.front();
-  PortMask ports = vc.candidates & allocatable_ports();
-  if (mask_has(vc.candidates, kLocalPort) && head.dest == id_) {
-    ports |= port_bit(kLocalPort);
-  }
-  std::uint32_t opts = port_gids(ports);
+  std::uint32_t opts = port_gids(va_ports(vc));
   // Under voq a packet only ever requests the VC class of its destination
   // column (voq lane); escape routing is mutually exclusive (voq => XY).
   const int lane = voq_lane(head);
@@ -943,10 +1045,19 @@ int Router::pick_va_request(const InputVc& vc, int g, int rotation) const {
       opts &= ~(vc0_gids_ & ~local & ~xy_escape);  // No off-XY escape lane.
     }
   }
-  opts &= ~alloc_ogs_;
-  const int n = std::popcount(opts);
+  return opts & ~alloc_ogs_;
+}
+
+int Router::pick_va_request(const InputVc& vc, int g,
+                            std::uint32_t rotation) const {
+  // Pick one free option by the input VC's rotating preference (the input
+  // stage of a separable allocator). Set bits ascend in (port, VC) order,
+  // so the rotation indexes the options in the same order as a
+  // port-by-port scan.
+  std::uint32_t opts = va_options(vc, g);
+  const auto n = static_cast<std::uint32_t>(std::popcount(opts));
   if (n == 0) return -1;
-  for (int k = rotation % n; k > 0; --k) opts &= opts - 1;
+  for (std::uint32_t k = rotation % n; k > 0; --k) opts &= opts - 1;
   return std::countr_zero(opts);
 }
 
@@ -973,10 +1084,7 @@ void Router::phase_va(Cycle now) {
     // routing computation (mesh edge / wrong-PE ejection): the VA catches
     // it from its link-state table (§4.2) and the RT redoes the route —
     // a single-cycle penalty in current-node-routing pipelines.
-    const bool any_valid =
-        (vc.candidates & alloc_ports) != 0 ||
-        (mask_has(vc.candidates, kLocalPort) && vc.buf.front().dest == id_);
-    if (!any_valid) {
+    if (va_ports(vc) == 0) {
       // A neighbour exists but the link is hard-failed or draining.
       const bool dead_candidate =
           (vc.candidates & nbr_ports_ & ~alloc_ports) != 0;
@@ -1067,7 +1175,7 @@ void Router::phase_va(Cycle now) {
       set_allocated(og, true);
       out.owner_gid = static_cast<std::uint16_t>(g);
       out.owner_pid = vc.buf.front().packet_id;
-      out.tail_sent = false;
+      set_tail_sent(og, false);
       update_output_work(og);
     }
   }
@@ -1758,6 +1866,12 @@ void Router::check_local_invariants(Cycle now) {
                      (out.allocated ? " clear" : " set") +
                      " but allocated=" + std::to_string(out.allocated));
     }
+    if (out.tail_sent != (((tail_ogs_ >> g) & 1u) != 0)) {
+      mon_->fail(InvariantId::kWorkMaskAgreement, now, id_, p, v,
+                 "tail_ogs_ bit for output gid " + std::to_string(g) +
+                     (out.tail_sent ? " clear" : " set") +
+                     " but tail_sent=" + std::to_string(out.tail_sent));
+    }
   }
   if (occ != tx_occ_) {
     mon_->fail(InvariantId::kOccupancyCounter, now, id_, -1, -1,
@@ -1934,7 +2048,11 @@ int Router::credit_budget(PortId p, VcId v) const {
          shared_held_[static_cast<std::size_t>(gid(p, v))];
 }
 
-std::uint64_t Router::state_digest() const {
+std::uint64_t Router::state_digest(Cycle now) const {
+  // Rotations of a router sleeping blocked, caught up to the last stepped
+  // cycle as its next step() will catch them up.
+  const auto lag = static_cast<std::uint32_t>(
+      asleep_rot_ != 0 ? now - last_step_ - 1 : 0);
   digest::Mixer h;
   h.mix(static_cast<std::uint64_t>(id_));
   const int pv = num_ports_ * num_vcs_;
@@ -1978,8 +2096,9 @@ std::uint64_t Router::state_digest() const {
       }
     }
     h.mix(static_cast<std::uint64_t>(drop_until_[static_cast<std::size_t>(g)]));
+    const bool lags = ((asleep_rot_ >> g) & 1u) != 0;
     h.mix(static_cast<std::uint64_t>(
-        va_rotation_[static_cast<std::size_t>(g)]));
+        va_rotation_[static_cast<std::size_t>(g)] + (lags ? lag : 0u)));
     h.mix(static_cast<std::uint64_t>(va_arbs_.at(g).last_grant()));
   }
   for (PortId p = 0; p < num_ports_; ++p) {

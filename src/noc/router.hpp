@@ -103,13 +103,16 @@ class Router {
   /// arbiter rotations, deadlock-agent state. Derived caches (work masks,
   /// occupancy counters) are left out — check_local_invariants() audits
   /// them against this state instead — so scan/event lockstep and the
-  /// pinned trajectories compare behaviour, not bookkeeping.
-  std::uint64_t state_digest() const;
+  /// pinned trajectories compare behaviour, not bookkeeping. `now` is the
+  /// first cycle not yet stepped: a router the event kernel let sleep
+  /// blocked reports the VA rotations it would have advanced through the
+  /// cycles before it (DESIGN.md §4.10).
+  std::uint64_t state_digest(Cycle now) const;
 
   // --- Invariant monitor hooks (DESIGN.md §4.8) ---------------------------
   void set_monitor(InvariantMonitor* mon) { mon_ = mon; }
-  /// Recomputes the derived state (work masks, alloc_ogs_, tx_occ_,
-  /// staged_count_, barrel summaries) from scratch and reports any
+  /// Recomputes the derived state (work masks, alloc_ogs_, tail_ogs_,
+  /// tx_occ_, staged_count_, barrel summaries) from scratch and reports any
   /// disagreement, and checks that no waiting head or unabsorbed deadlock
   /// waiter is bound to a dead or draining port.
   void check_local_invariants(Cycle now);
@@ -153,8 +156,9 @@ class Router {
   // --- Event-driven scheduling (DESIGN.md §4.10) --------------------------
   /// Wake bookkeeping of the step() that just ran: which wires were
   /// driven, whether any retained state demands a self-tick next cycle,
-  /// and the exact own-probe GC deadline when that is the *only* thing
-  /// left. Consuming resets the wrote masks for the next step.
+  /// and otherwise the earliest timer that does. A router whose step wrote
+  /// no wire and whose every busy VC is blocked sleeps (blocked_sleep()).
+  /// Consuming resets the wrote masks for the next step.
   WakeInfo take_wake_info();
 
  private:
@@ -295,6 +299,11 @@ class Router {
     outputs_[static_cast<std::size_t>(og)].allocated = on;
     alloc_ogs_ = on ? (alloc_ogs_ | (1u << og)) : (alloc_ogs_ & ~(1u << og));
   }
+  /// The same for `tail_sent` and tail_ogs_.
+  void set_tail_sent(int og, bool on) {
+    outputs_[static_cast<std::size_t>(og)].tail_sent = on;
+    tail_ogs_ = on ? (tail_ogs_ | (1u << og)) : (tail_ogs_ & ~(1u << og));
+  }
   /// Under damq, whether output VC (`p`, `v`) can source a credit for one
   /// more flit: a free reserved credit or a free slot in the port's shared
   /// region (DESIGN.md §4.11). Under other policies, plain credits > 0.
@@ -328,6 +337,17 @@ class Router {
   void send_credit(PortId p, VcId v);
   void release_input_after_tail(PortId p, VcId v, Cycle now);
   void maybe_release_outputs(Cycle now);
+  /// Whether steps after the one that just ran are no-ops, bar VA
+  /// rotation, until a wire wakes the router or `timer` (0 = none) is
+  /// due; `rot` gets the gids whose rotation each skipped step would
+  /// advance. Every busy input VC must wait on a credit or on a held
+  /// output VC (or on a stall), no output VC may have a waiter or a
+  /// replay that can go, and nothing else may be in flight (DESIGN.md
+  /// §4.10).
+  bool blocked_sleep(Cycle& timer, std::uint32_t& rot) const;
+  /// Earliest own-probe GC deadline (0 = none): the agent's live probe is
+  /// spared, every other entry is collected at sent_at + timeout + 1.
+  Cycle probe_gc_due() const;
   /// Online reconfiguration (DESIGN.md §4.12): when the topology's route
   /// epoch has moved since this router last looked, recompute every
   /// kVaWait candidate set against the rebuilt distance tables. A set that
@@ -344,9 +364,15 @@ class Router {
   void flush_outbox();
   void charge(power::EnergyEvent e, std::uint64_t times = 1);
 
+  // The candidate ports a waiting head may take now: live link ports, and
+  // the local port when the head is home. Empty means an upset route or
+  // a dead candidate, which phase_va repairs.
+  PortMask va_ports(const InputVc& vc) const;
+  // Free output gids input gid `g`'s head may request. Escape-VC policy
+  // depends on how the packet arrived (`g`'s port and VC).
+  std::uint32_t va_options(const InputVc& vc, int g) const;
   // Input-side VA request: the output gid input gid `g` asks for, or -1.
-  // Escape-VC policy depends on how the packet arrived (`g`'s port and VC).
-  int pick_va_request(const InputVc& vc, int g, int rotation) const;
+  int pick_va_request(const InputVc& vc, int g, std::uint32_t rotation) const;
 
   // RT fault handling; returns the (possibly corrupted) candidate mask and
   // applies stalls/penalties for emulated downstream detection.
@@ -415,7 +441,14 @@ class Router {
   ArbiterBank sa_in_arbs_;  // one per input port, over V VCs
   ArbiterBank sa_out_arbs_; // one per output port, over P input ports
   ArbiterBank replay_arbs_; // one per output port, over V VCs
-  std::vector<int> va_rotation_;  // per input gid: rotating VC preference
+  /// Per input gid: rotating VC preference. Unsigned, so a catch-up add
+  /// after a long sleep wraps instead of overflowing.
+  std::vector<std::uint32_t> va_rotation_;
+  /// Cycle of the last step() and, while the router sleeps blocked, the
+  /// kVaWait gids whose rotation each skipped step would have advanced:
+  /// the next step() adds the skipped cycles to them (DESIGN.md §4.10).
+  Cycle last_step_ = 0;
+  std::uint32_t asleep_rot_ = 0;
 
   std::array<bool, kNumDirections> port_busy_{};     // per-cycle ST usage
   PortMask dead_ports_ = 0;  // hard faults (4.2)
@@ -470,6 +503,9 @@ class Router {
   /// VA masks it out of the free options and chain resolution takes the
   /// held VC from it, so a blocked VC costs a few bit operations.
   std::uint32_t alloc_ogs_ = 0;
+  /// Output gids whose `tail_sent` is set (written only by set_tail_sent):
+  /// alloc_ogs_ & tail_ogs_ are the VCs maybe_release_outputs() may free.
+  std::uint32_t tail_ogs_ = 0;
   /// VC 0's gid on every port; `vc0_gids_ << v` selects VC v everywhere.
   std::uint32_t vc0_gids_ = 0;
   std::vector<std::uint32_t> va_reqs_;  // per output gid: requesting inputs

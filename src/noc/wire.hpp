@@ -87,14 +87,15 @@ struct Wire {
 /// Callback delivering an ejected flit to the local processing element.
 using EjectFn = std::function<void(const Flit&, Cycle)>;
 
-/// What the event-driven Network needs to know after a router step: which
-/// output ports the router drove forward signals on (flit/probe/
+/// What the event-driven Network needs to know after a router step:
+/// which output ports the router drove forward signals on (flit/probe/
 /// activation — wakes the downstream consumer), which input-side bundles
 /// it drove backward signals on (credit/NACK — wakes the upstream
 /// producer; bit kLocalPort wakes the PE), whether the router wants an
-/// unconditional self-tick next cycle, and an optional exact timer for
-/// the one delayed action that needs no per-cycle work in between
-/// (own-probe GC). `timer == 0` means no timer.
+/// unconditional self-tick next cycle, and otherwise an optional exact
+/// timer for its earliest delayed action: the own-probe GC of an idle
+/// router, or the barrel retire, stall end or probe launch a router
+/// asleep on blocked VCs waits for. `timer == 0` means no timer.
 struct WakeInfo {
   std::uint8_t wrote_fwd = 0;
   std::uint8_t wrote_back = 0;

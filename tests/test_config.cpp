@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace ftnoc {
 namespace {
 
@@ -108,6 +110,47 @@ TEST(Config, OverrideRejectsMalformedValue) {
   EXPECT_TRUE(apply_override(cfg, "mesh_width=abc").has_value());
   EXPECT_TRUE(apply_override(cfg, "pattern=xyz").has_value());
   EXPECT_TRUE(apply_override(cfg, "no_equals_sign").has_value());
+}
+
+// A rate that is NaN, infinite or beyond double range is refused by name
+// and leaves the config untouched. NaN used to pass validate() and end in
+// a run that created no packet; 1e-400 used to read silently as 0.
+TEST(Config, OverrideRejectsNonFiniteAndOutOfRangeDoubles) {
+  const struct {
+    const char* assignment;
+    const char* why;
+  } cases[] = {
+      {"injection_rate=nan", "(NaN)"},
+      {"injection_rate=inf", "(infinite)"},
+      {"injection_rate=-inf", "(infinite)"},
+      {"injection_rate=1e-400", "(out of double range)"},
+      {"injection_rate=1e400", "(out of double range)"},
+      {"link_error_rate=nan", "(NaN)"},
+  };
+  for (const auto& c : cases) {
+    SimConfig cfg;
+    const SimConfig before = cfg;
+    const auto err = apply_override(cfg, c.assignment);
+    ASSERT_TRUE(err.has_value()) << c.assignment;
+    EXPECT_NE(err->find("bad value for"), std::string::npos) << *err;
+    EXPECT_NE(err->find(c.why), std::string::npos) << *err;
+    EXPECT_EQ(cfg.injection_rate, before.injection_rate) << c.assignment;
+    EXPECT_EQ(cfg.faults.link_error_rate, before.faults.link_error_rate);
+  }
+  SimConfig cfg;
+  EXPECT_EQ(apply_override(cfg, "injection_rate=1e-300"), std::nullopt);
+  EXPECT_EQ(cfg.injection_rate, 1e-300);
+}
+
+TEST(Config, ValidateRejectsNanRates) {
+  SimConfig cfg;
+  cfg.injection_rate = std::numeric_limits<double>::quiet_NaN();
+  const auto err = cfg.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("injection_rate"), std::string::npos) << *err;
+  cfg = SimConfig{};
+  cfg.faults.link_error_rate = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(cfg.validate().has_value());
 }
 
 TEST(Config, ApplyOverridesStopsAtFirstError) {

@@ -289,6 +289,128 @@ TEST(EventWakeup, FaultedTopologyLockstep) {
   nets.run(3000);
 }
 
+// --- Blocked sleep ---------------------------------------------------------
+// A router whose step wrote no wire and whose busy VCs all wait on a credit
+// or on a held output VC sleeps until a wire wakes it or its earliest timer
+// fires; its next step catches up the VA rotations the skipped steps would
+// have advanced (DESIGN.md §4.10). One lockstep test per wake source. The
+// loads are high on purpose: blocked routers only exist where traffic
+// backs up.
+
+// Uniform traffic well past saturation on a small mesh: every router
+// upstream of a full buffer waits on credits.
+SimConfig congested_base() {
+  SimConfig cfg = sparse_base();
+  cfg.injection_rate = 0.6;
+  cfg.total_messages = 400;
+  return cfg;
+}
+
+// The credit wake: a credit-starved router sleeps until its downstream
+// neighbour frees a slot and the credit crosses the wire.
+TEST(BlockedSleep, CreditWake) {
+  SimConfig cfg = congested_base();
+  cfg.num_vcs = 3;
+  cfg.vc_buffer_depth = 2;
+  KernelPair nets(cfg);
+  EXPECT_GT(nets.run(2500).messages_ejected(), 100u);
+}
+
+// The kill wake: a storm kill moves the route epoch, and every router —
+// also one asleep on a waiting head far from the dead link — re-homes its
+// waiting heads next cycle, as every router does under the scan kernel.
+TEST(BlockedSleep, KillEpochWakesSleepers) {
+  SimConfig cfg = congested_base();
+  cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
+  cfg.adaptive_faults = true;
+  cfg.storm_kills.push_back({300, 5, Direction::kEast});
+  cfg.storm_kills.push_back({600, 9, Direction::kSouth});
+  cfg.storm_kills.push_back({900, 10, Direction::kWest});
+  KernelPair nets(cfg);
+  const auto& st = nets.run(1200);
+  EXPECT_EQ(st.links_storm_killed(), 3u) << "storm timeline never fired";
+  EXPECT_GT(st.packets_rerouted(), 0u) << "no kill re-routed a packet";
+}
+
+// The retire timer: under HBH every transmission leaves a barrel copy
+// that retires when its NACK window closes, also on a sender asleep on
+// credits.
+TEST(BlockedSleep, RetireTimer) {
+  SimConfig cfg = congested_base();
+  cfg.protection = LinkProtection::kHbh;
+  cfg.faults.link_error_rate = 0.002;
+  cfg.faults.multi_bit_fraction = 0.3;
+  KernelPair nets(cfg);
+  EXPECT_GT(nets.run(2500).nacks_sent(), 0u);
+}
+
+// The stall timer: an upset route under XY stalls its head for the
+// receiver's NACK and re-route (1 + stages cycles). The head's router has
+// nothing else to do, so only the stall's end wakes it.
+TEST(BlockedSleep, StallTimer) {
+  SimConfig cfg = sparse_base();
+  cfg.faults.rt_error_rate = 0.05;
+  KernelPair nets(cfg);
+  EXPECT_GT(nets.run(3000).rt_errors_recovered(), 0u)
+      << "no route upset stalled a head";
+}
+
+// The probe timer: a real deadlock leaves every router of the cycle
+// asleep on credits; only the cycle its first probe may launch (past
+// Cthres, the live probe's timeout and the backoff) wakes it.
+TEST(BlockedSleep, ProbeTimer) {
+  SimConfig cfg = sparse_base();
+  cfg.mesh_width = 2;
+  cfg.mesh_height = 2;
+  cfg.num_vcs = 1;
+  cfg.injection_rate = 0.0;
+  cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
+  cfg.deadlock.enable_recovery = true;
+  cfg.deadlock.probe_threshold = 40;
+  cfg.deadlock.probe_backoff = 23;
+  cfg.deadlock.probe_timeout = 64;
+  KernelPair nets(cfg);
+  for (int i = 0; i < 8; ++i) {
+    for (const auto& [src, dst] : {std::pair<NodeId, NodeId>{0, 3},
+                                   {1, 2}, {3, 0}, {2, 1}}) {
+      nets.scan->inject_packet(src, dst, 4);
+      nets.event->inject_packet(src, dst, 4);
+    }
+  }
+  const auto& st = nets.run(3000);
+  EXPECT_GT(st.probes_sent(), 0u) << "burst armed no probes";
+  EXPECT_GT(st.recoveries_entered(), 0u) << "burst never deadlocked";
+  EXPECT_EQ(st.messages_ejected(), 32u);
+}
+
+// Rotation catch-up: heads waiting out a deadlock sleep for Cthres cycles
+// and more, then are granted one of two free output VCs (the diagonal
+// destination's two minimal ports) by their rotation. A rotation that
+// missed the skipped steps picks the other port, and the digest, which
+// hashes the rotation, diverges from the first sleeping cycle.
+TEST(BlockedSleep, VaGrantAfterLongSleep) {
+  SimConfig cfg = sparse_base();
+  cfg.mesh_width = 2;
+  cfg.mesh_height = 2;
+  cfg.num_vcs = 1;
+  cfg.injection_rate = 0.0;
+  cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
+  cfg.deadlock.enable_recovery = true;
+  cfg.deadlock.probe_threshold = 150;
+  cfg.deadlock.probe_backoff = 41;
+  KernelPair nets(cfg);
+  for (int i = 0; i < 12; ++i) {
+    for (const auto& [src, dst] : {std::pair<NodeId, NodeId>{0, 3},
+                                   {1, 2}, {3, 0}, {2, 1}}) {
+      nets.scan->inject_packet(src, dst, 4);
+      nets.event->inject_packet(src, dst, 4);
+    }
+  }
+  const auto& st = nets.run(4000);
+  EXPECT_GT(st.recoveries_entered(), 0u) << "burst never deadlocked";
+  EXPECT_EQ(st.messages_ejected(), 48u);
+}
+
 // The source's armed cycle: gaps far beyond the 256-cycle wheel and the
 // look-ahead chunk, so PEs sleep across no-fire checkpoints. A PE that
 // slept through its source's armed cycle or a checkpoint would never

@@ -149,12 +149,16 @@ bool is_fault_override(const std::string& o) {
 //
 // About a quarter of configs replace the injection rate with a low band
 // (0.002–0.02 flits/node/cycle), where the event kernel's PEs sleep for
-// long stretches between injections. That choice is drawn from `band`, a
-// stream of its own, so every other field of every config is the one
-// `rng` alone would give.
-std::vector<std::string> random_config(Rng& rng, Rng& band) {
-  std::optional<double> low_rate;
-  if (band.bernoulli(0.25)) low_rate = 0.002 + 0.018 * band.next_double();
+// long stretches between injections, and about a sixth with a congested
+// band (0.45–0.9), where routers sleep on blocked VCs. Those choices are
+// drawn from `band` and `hot`, streams of their own, so every other field
+// of every config is the one `rng` alone would give.
+std::vector<std::string> random_config(Rng& rng, Rng& band, Rng& hot) {
+  std::optional<double> band_rate;
+  if (band.bernoulli(0.25)) band_rate = 0.002 + 0.018 * band.next_double();
+  if (hot.bernoulli(2.0 / 9.0) && !band_rate) {  // 2/9 of 3/4 is 1/6.
+    band_rate = 0.45 + 0.45 * hot.next_double();
+  }
   for (;;) {
     std::vector<std::string> ov;
     auto add = [&](const std::string& k, const std::string& v) {
@@ -174,7 +178,7 @@ std::vector<std::string> random_config(Rng& rng, Rng& band) {
     {
       const double rate = 0.05 + 0.35 * rng.next_double();
       std::ostringstream r;
-      r << low_rate.value_or(rate);
+      r << band_rate.value_or(rate);
       add("injection_rate", r.str());
     }
     static const char* kProt[] = {"none", "fec", "e2e", "hbh", "hbh"};
@@ -448,8 +452,10 @@ int fuzz_main(const Options& opt) {
         Rng::derive_seed(opt.seed, static_cast<std::uint64_t>(i));
     Rng rng(run_seed);
     Rng band(Rng::derive_seed(run_seed, 1));
+    Rng hot(Rng::derive_seed(run_seed, 2));
     const std::vector<std::string> ov =
-        opt.selftest ? *plant_habitat(opt.plant, i) : random_config(rng, band);
+        opt.selftest ? *plant_habitat(opt.plant, i)
+                     : random_config(rng, band, hot);
     if (std::getenv("FTNOC_FUZZ_TRACE")) {
       std::fprintf(stderr, "run %d:", i);
       for (const auto& o : ov) std::fprintf(stderr, " %s", o.c_str());
